@@ -1,0 +1,144 @@
+"""Interleaved before/after runs of the benchmark, summarised to JSON.
+
+    python3 scripts/bench_pairs.py --base HEAD~1 --seeds 301-310 --out BENCH_N.json
+
+Exports the ``--base`` revision with ``git archive`` into
+``.bench_build/base`` and runs ``python3 apnbench/run.py`` there and in
+the working tree: one pair per workload of ``BENCHMARK.json`` and seed,
+alternating which side runs first, one run at a time, each for the
+``run_seconds`` that ``BENCHMARK.json`` sets.  The output holds, per
+workload and side, the median and quartiles of every end-to-end metric,
+the count of pairs in which the working tree did better, every run's
+values, and the environment (core count, Python, numpy, scipy and BLAS
+versions, ``OPENBLAS_NUM_THREADS``).  The exit code is 1 if any run
+failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+BASE_DIR = ROOT / ".bench_build" / "base"
+
+
+def parse_seeds(text: str) -> list:
+    """'301-310' -> [301, ..., 310]."""
+    lo, hi = (int(x) for x in text.split("-"))
+    return list(range(lo, hi + 1))
+
+
+def export_base(rev: str) -> Path:
+    if BASE_DIR.exists():
+        shutil.rmtree(BASE_DIR)
+    BASE_DIR.mkdir(parents=True)
+    archive = subprocess.run(
+        ["git", "archive", rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(BASE_DIR)], input=archive, check=True)
+    return BASE_DIR
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "apnbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    failed_ops = [ln for ln in proc.stderr.splitlines() if ln.startswith(("failed op:", "check failed:"))]
+    return {
+        "exit": proc.returncode,
+        "correct": result.get("correct"),
+        "attempted": result.get("attempted"),
+        "failed": result.get("failed"),
+        "failed_ops": failed_ops,
+        "values": {k: v["value"] for k, v in result.get("metrics", {}).items()},
+    }
+
+
+def summary(values: list) -> dict:
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def environment() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError, ValueError):
+        blas = "unknown"
+    return {
+        "cores": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="git revision to compare against")
+    ap.add_argument("--seeds", required=True, type=parse_seeds)
+    ap.add_argument("--out", required=True, type=Path)
+    args = ap.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    trees = {"base": export_base(args.base), "change": ROOT}
+    ok = True
+    report = {
+        "base": subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, check=True,
+                               capture_output=True, text=True).stdout.strip(),
+        "seconds": seconds,
+        "environment": environment(),
+        "workloads": {},
+    }
+    for workload in (w["name"] for w in spec["workloads"]):
+        pairs = []
+        for i, seed in enumerate(args.seeds):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            runs = {}
+            for side in order:
+                runs[side] = run = run_once(trees[side], workload, seed, seconds)
+                print(f"{workload} seed {seed} {side}: exit {run['exit']}, failed {run['failed']}, "
+                      f"{run['values'].get('estimates_per_s', float('nan')):.2f} estimates/s",
+                      file=sys.stderr, flush=True)
+                for line in run["failed_ops"]:
+                    print(f"  {line}", file=sys.stderr)
+                ok = ok and run["exit"] == 0 and run["failed"] == 0
+            pairs.append({"seed": seed, "first": order[0], **runs})
+        metrics = {}
+        for name, direction in better.items():
+            base = [p["base"]["values"][name] for p in pairs if name in p["base"]["values"]]
+            change = [p["change"]["values"][name] for p in pairs if name in p["change"]["values"]]
+            if len(base) != len(pairs) or len(change) != len(pairs):
+                continue
+            sign = 1.0 if direction == "higher" else -1.0
+            metrics[name] = {
+                "better": direction,
+                "base": summary(base),
+                "change": summary(change),
+                "change_better_pairs": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+            }
+        report["workloads"][workload] = {"pairs": len(pairs), "metrics": metrics, "runs": pairs}
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

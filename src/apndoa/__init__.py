@@ -14,7 +14,6 @@ from .arrays import (
     synthesize,
 )
 from .workspace import (
-    FlopCounter,
     IndefiniteCovarianceError,
     RankDeficiencyError,
     SampleCovariance,

@@ -37,7 +37,6 @@ from .arrays import ArrayGeometry, steering_set
 from .derivatives import grad_dml_uniform, grad_hess, hess_dml_uniform
 from .newton import DIVERGED_NOTE, NewtonOptions, NewtonOutcome, newton_maximize
 from .workspace import (
-    FlopCounter,
     IndefiniteCovarianceError,
     RankDeficiencyError,
     SampleCovariance,
@@ -249,6 +248,42 @@ def _stage_counts(out: NewtonOutcome, candidates: int = 0) -> StageCounts:
     )
 
 
+class _Workspaces:
+    """The workspaces of one :func:`apn_estimate` call, keyed by the exact
+    bytes of (theta, lambda).
+
+    Two entries are kept: the last workspace built, and the one whose
+    derivatives were taken last (``hold=True``).  Newton asks for
+    derivatives at the point its last cost call accepted, and every
+    stage or alternating block starts where the previous one stopped:
+    at that point or, after a line search found no ascent step, at the
+    held one.  A point is therefore built again only when a line search
+    is repeated from the same start, as when a stalled lambda sweep is
+    followed by a theta sweep that does not move.  Keys are bytes, not
+    array identities, because Newton clips trial arrays in place.  A
+    failed build leaves the last-built entry empty.
+    """
+
+    def __init__(self, r_z: SampleCovariance, geometry: ArrayGeometry):
+        self._r_z = r_z
+        self._geometry = geometry
+        self._last = self._held = (None, None)
+
+    def at(self, theta: np.ndarray, lam: np.ndarray, hold: bool = False):
+        key = (theta.tobytes(), lam.tobytes())
+        if self._last[0] == key:
+            ws = self._last[1]
+        elif self._held[0] == key:
+            ws = self._held[1]
+        else:
+            self._last = (None, None)
+            ws = build_workspace(self._r_z, steering_set(self._geometry, theta), lam)
+            self._last = (key, ws)
+        if hold:
+            self._held = (key, ws)
+        return ws
+
+
 def apn_estimate(
     z,
     geometry: ArrayGeometry,
@@ -257,7 +292,6 @@ def apn_estimate(
     options: NewtonOptions | None = None,
     grid_size: int | None = None,
     exclusion_radius: float | None = None,
-    counter: FlopCounter | None = None,
 ) -> EstimationResult:
     """Run the full estimation pipeline on a snapshot matrix.
 
@@ -273,10 +307,11 @@ def apn_estimate(
     options : NewtonOptions, optional
         ``hessian_mode`` is forced to 'reduced' for the ``sml-red``
         target.
-    counter : FlopCounter, optional
-        Accumulates measured workspace-level operation counts (the
-        reported ``flop_estimate`` always comes from the closed-form
-        polynomials instead).
+
+    Notes
+    -----
+    Cost and derivative calls at one (theta, lambda) point share one
+    workspace: see :class:`_Workspaces`.
     """
     target = _normalize_target(target)
     opts = options or NewtonOptions()
@@ -286,7 +321,7 @@ def apn_estimate(
         z = np.asarray(z, dtype=complex)
         if z.ndim != 2 or z.shape[0] != geometry.m:
             raise ValueError("snapshot matrix must be M x N")
-        z = sample_covariance(z, counter=counter)
+        z = sample_covariance(z)
     if z.m != geometry.m:
         raise ValueError("covariance size does not match the geometry")
     if not (1 <= k < geometry.m):
@@ -295,16 +330,17 @@ def apn_estimate(
     rz = z
     m = geometry.m
     ones = np.ones(m)
+    points = _Workspaces(rz, geometry)
 
     def u_cost(theta):
         try:
-            ws = build_workspace(rz, steering_set(geometry, theta), ones, counter)
+            ws = points.at(theta, ones)
         except (RankDeficiencyError, ValueError):
             return -np.inf
         return cost_dml_uniform(ws)
 
     def u_grad_hess(theta):
-        ws = build_workspace(rz, steering_set(geometry, theta), ones, counter)
+        ws = points.at(theta, ones, hold=True)
         return grad_dml_uniform(ws), hess_dml_uniform(ws)
 
     # -- stage 1: insertion line searches + uniform Newton refinement -----
@@ -343,28 +379,22 @@ def apn_estimate(
         )
 
     # -- stage 2: noise initialization ------------------------------------
-    ws_u = build_workspace(rz, steering_set(geometry, theta), ones, counter)
-    lam0 = init_noise(rz, ws_u.projector())
+    lam0 = init_noise(rz, points.at(theta, ones).projector())
 
     # -- stage 3: joint or alternating Newton ------------------------------
     which = "D" if target.startswith("dml") else "S"
-    reduced = opts.hessian_mode in ("reduced", "approx")
+    reduced = opts.hessian_mode == "reduced"
     cost_of = cost_dml if which == "D" else cost_sml
-
-    def build(theta_part, lam_part):
-        return build_workspace(
-            rz, steering_set(geometry, theta_part), lam_part, counter
-        )
 
     def j_cost(x):
         try:
-            return cost_of(build(x[:k], x[k:]))
+            return cost_of(points.at(x[:k], x[k:]))
         except (RankDeficiencyError, IndefiniteCovarianceError, ValueError):
             return -np.inf
 
-    def j_grad_hess(x):
-        ws = build(x[:k], x[k:])
-        return grad_hess(ws, which, reduced)
+    def j_grad_hess(x, block=None):
+        ws = points.at(x[:k], x[k:], hold=True)
+        return grad_hess(ws, which, reduced, block=block)
 
     x0 = np.concatenate([theta, lam0])
     positive = np.zeros(k + m, dtype=bool)
@@ -408,6 +438,11 @@ def apn_estimate(
 def _alternating(j_cost, j_grad_hess, x0, k, m, opts: NewtonOptions):
     """Outer alternation of single damped Newton sweeps over theta and lambda.
 
+    Each block's sweep takes only its own derivatives (``j_grad_hess``
+    with ``block='theta'`` or ``'lam'``) and starts at the point the
+    other block's sweep accepted, so its first cost and derivative
+    evaluations reuse that point's workspace.
+
     A sweep that moves the parameters by less than ``step_tol`` in the
     scaled norm ``max_i |dx_i| / max(1, |x_i|)`` ends the run; it counts
     as converged only if neither block's line search stalled.  The run
@@ -427,15 +462,13 @@ def _alternating(j_cost, j_grad_hess, x0, k, m, opts: NewtonOptions):
         return j_cost(np.concatenate([t, x[k:]]))
 
     def t_gh(t):
-        g, h = j_grad_hess(np.concatenate([t, x[k:]]))
-        return g[:k], h[:k, :k]
+        return j_grad_hess(np.concatenate([t, x[k:]]), "theta")
 
     def l_cost(lam):
         return j_cost(np.concatenate([x[:k], lam]))
 
     def l_gh(lam):
-        g, h = j_grad_hess(np.concatenate([x[:k], lam]))
-        return g[k:], h[k:, k:]
+        return j_grad_hess(np.concatenate([x[:k], lam]), "lam")
 
     for _ in range(opts.max_outer):
         x_prev = x.copy()

@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .workspace import WhitenedWorkspace
 
@@ -108,12 +107,6 @@ class _Products:
     # -- deterministic-path pieces --------------------------------------
 
     @cached_property
-    def rinv(self) -> np.ndarray:
-        return solve_triangular(
-            self.ws.r_factor, np.eye(self.ws.k, dtype=complex)
-        )
-
-    @cached_property
     def qh_r(self) -> np.ndarray:            # Q^H R, K x M
         return self.ws.q_factor.conj().T @ self.ws.r_zl
 
@@ -139,7 +132,7 @@ class _Products:
 
     @cached_property
     def prp(self) -> np.ndarray:             # pinv R pinv^H = rinv B rinv^H
-        return (self.rinv @ self.ws.b) @ self.rinv.conj().T
+        return (self.ws.rinv @ self.ws.b) @ self.ws.rinv.conj().T
 
     @cached_property
     def did(self) -> np.ndarray:             # D^H (I-P) D, K x K
@@ -175,7 +168,7 @@ class _Products:
 
     @cached_property
     def fri(self) -> np.ndarray:             # pinv R (I-P), K x M
-        return self.ws.perp_rows(self.rinv @ self.qh_r)
+        return self.ws.perp_rows(self.ws.rinv @ self.qh_r)
 
     @cached_property
     def diri(self) -> np.ndarray:            # D^H (I-P) R (I-P), K x M
@@ -189,11 +182,11 @@ class _Products:
 
     @cached_property
     def mzphir(self) -> np.ndarray:          # M_zl Phi^H R = rinv B^-1 Q^H R
-        return self.rinv @ self.ws.b_solve(self.qh_r)
+        return self.ws.rinv @ self.ws.b_solve(self.qh_r)
 
     @cached_property
     def mzphih(self) -> np.ndarray:          # M_zl Phi^H = rinv B^-1 Q^H
-        return self.rinv @ self.binv_qh
+        return self.ws.rinv @ self.binv_qh
 
     @cached_property
     def rq(self) -> np.ndarray:              # R Q, M x K
@@ -226,25 +219,29 @@ class _Products:
 
 @dataclass(frozen=True)
 class GradientBlocks:
-    """Gradient blocks; the stochastic pieces are ``None`` for which='D'."""
+    """Gradient blocks; a piece is ``None`` when it was not evaluated
+    (the stochastic pieces for which='D', the deterministic ones for
+    which='C', the other parameter block for a single-block request)."""
 
-    d_theta: np.ndarray
-    d_lam: np.ndarray
+    d_theta: np.ndarray | None = None
+    d_lam: np.ndarray | None = None
     c_theta: np.ndarray | None = None
     c_lam: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class HessianBlocks:
-    """Hessian blocks; the stochastic pieces are ``None`` for which='D'.
+    """Hessian blocks; a piece is ``None`` when it was not evaluated, as
+    for :class:`GradientBlocks` (a single-block request also skips the
+    mixed blocks).
 
     ``d_tl``/``c_tl`` are K x M (theta rows, lambda columns); assembled
     matrices place the transpose in the lower-left block.
     """
 
-    d_tt: np.ndarray
-    d_tl: np.ndarray
-    d_ll: np.ndarray
+    d_tt: np.ndarray | None = None
+    d_tl: np.ndarray | None = None
+    d_ll: np.ndarray | None = None
     c_tt: np.ndarray | None = None
     c_tl: np.ndarray | None = None
     c_ll: np.ndarray | None = None
@@ -256,102 +253,124 @@ def _check_which(which: str) -> str:
     return which
 
 
-def _grad_blocks(pr: _Products, which: str) -> GradientBlocks:
+def _grad_blocks(pr: _Products, which: str, block: str | None = None) -> GradientBlocks:
     ws = pr.ws
     n2 = 2.0 * ws.n_snapshots
     inv_lam = 1.0 / ws.lam
+    want_t, want_l = block != "lam", block != "theta"
 
     d_theta = d_lam = c_theta = c_lam = None
     if which in ("D", "S"):
-        d_theta = n2 * _diag_prod(ws.pinv, pr.r_dperp).real
-        d_lam = n2 * inv_lam * (1.0 - pr.diag_iri)
+        if want_t:
+            d_theta = n2 * _diag_prod(ws.pinv, pr.r_dperp).real
+        if want_l:
+            d_lam = n2 * inv_lam * (1.0 - pr.diag_iri)
     if which in ("C", "S"):
-        c_theta = -n2 * _diag_prod(pr.mzphir, pr.d_perp).real
-        diag_p = np.einsum("ij,ij->i", ws.q_factor, ws.q_factor.conj()).real
-        c_lam = n2 * inv_lam * (diag_p - 2.0 * pr.diag_rpz.real)
+        if want_t:
+            c_theta = -n2 * _diag_prod(pr.mzphir, pr.d_perp).real
+        if want_l:
+            diag_p = np.einsum("ij,ij->i", ws.q_factor, ws.q_factor.conj()).real
+            c_lam = n2 * inv_lam * (diag_p - 2.0 * pr.diag_rpz.real)
     return GradientBlocks(d_theta=d_theta, d_lam=d_lam, c_theta=c_theta, c_lam=c_lam)
 
 
-def _hess_blocks(pr: _Products, which: str, reduced: bool) -> HessianBlocks:
+def _hess_blocks(
+    pr: _Products, which: str, reduced: bool, block: str | None = None
+) -> HessianBlocks:
     ws = pr.ws
     n2 = 2.0 * ws.n_snapshots
     inv_lam = 1.0 / ws.lam
     eye_m = np.eye(ws.m)
+    want_t, want_l, want_tl = block != "lam", block != "theta", block is None
 
     d_tt = d_tl = d_ll = c_tt = c_tl = c_ll = None
 
     if which in ("D", "S"):
         if reduced:
-            d_tt = n2 * _sym(-_re_hadamard(pr.prp, pr.did.T))
-            d_tl = np.zeros((ws.k, ws.m))
-            core = _re_hadamard(
-                4.0 * pr.p_dense - eye_m, (eye_m - pr.p_dense).T
-            ) - eye_m
+            if want_t:
+                d_tt = n2 * _sym(-_re_hadamard(pr.prp, pr.did.T))
+            if want_tl:
+                d_tl = np.zeros((ws.k, ws.m))
+            if want_l:
+                core = _re_hadamard(
+                    4.0 * pr.p_dense - eye_m, (eye_m - pr.p_dense).T
+                ) - eye_m
         else:
-            d_tt = n2 * _sym(
-                _re_hadamard(ws.minv, pr.dirid.T)
-                - _re_hadamard(pr.pd, pr.fd.T)
-                - _re_hadamard(pr.fd, pr.pd.T)
-                - _re_hadamard(pr.prp, pr.did.T)
-                + np.diag(_diag_prod(ws.pinv, ws.r_zl @ pr.d2_perp).real)
-            )
-            d_tl = (
-                2.0
-                * n2
-                * (
-                    _re_hadamard(pr.fri, pr.d_perp.T)
-                    + _re_hadamard(pr.diri, ws.pinv.conj())
+            if want_t:
+                d_tt = n2 * _sym(
+                    _re_hadamard(ws.minv, pr.dirid.T)
+                    - _re_hadamard(pr.pd, pr.fd.T)
+                    - _re_hadamard(pr.fd, pr.pd.T)
+                    - _re_hadamard(pr.prp, pr.did.T)
+                    + np.diag(_diag_prod(ws.pinv, ws.r_zl @ pr.d2_perp).real)
                 )
-                * inv_lam[None, :]
-            )
-            core = _re_hadamard(4.0 * pr.p_dense - eye_m, pr.iri.T) - eye_m
-        d_ll = n2 * _sym(inv_lam[:, None] * core * inv_lam[None, :])
+            if want_tl:
+                d_tl = (
+                    2.0
+                    * n2
+                    * (
+                        _re_hadamard(pr.fri, pr.d_perp.T)
+                        + _re_hadamard(pr.diri, ws.pinv.conj())
+                    )
+                    * inv_lam[None, :]
+                )
+            if want_l:
+                core = _re_hadamard(4.0 * pr.p_dense - eye_m, pr.iri.T) - eye_m
+        if want_l:
+            d_ll = n2 * _sym(inv_lam[:, None] * core * inv_lam[None, :])
 
     if which in ("C", "S"):
         s1, s2, s3 = _CTL_SIGNS
         if reduced:
-            c_tt = n2 * _sym(_re_hadamard(ws.minv, pr.did.T))
-            c_tl = (
-                2.0
-                * n2
-                * s1
-                * _re_hadamard(pr.d_perp.conj().T, ws.pinv.conj())
-                * inv_lam[None, :]
-            )
-            core = _re_hadamard(
-                eye_m - 2.0 * pr.p_dense, pr.p_dense.T
-            ) - 2.0 * _re_hadamard(pr.rpz, (eye_m - 2.0 * pr.rpz).T)
-        else:
-            s4 = pr.rd.conj().T @ pr.d_perp - pr.qrd.conj().T @ ws.b_solve(
-                ws.q_factor.conj().T @ pr.r_dperp
-            )
-            c_tt = n2 * _sym(
-                _re_hadamard(pr.gfd, pr.pd.T)
-                + _re_hadamard(ws.minv, pr.did.T)
-                - np.diag(_diag_prod(pr.mzphir, pr.d2_perp).real)
-                - _re_hadamard(ws.m_zl, s4.T)
-                + _re_hadamard(pr.mzphir @ ws.d1, pr.gfd.T)
-            )
-            t2 = pr.rd - pr.rq @ ws.b_solve(pr.qrd)
-            t3 = ws.d1.conj().T - pr.qrd.conj().T @ pr.binv_qh
-            rpm = pr.rq @ ws.b_solve(pr.rinv.conj().T)
-            c_tl = (
-                2.0
-                * n2
-                * (
-                    s1 * _re_hadamard(pr.d_perp.conj().T, ws.pinv.conj())
-                    + s2 * _re_hadamard(pr.mzphih, t2.T)
-                    + s3 * _re_hadamard(t3, rpm.T)
+            if want_t:
+                c_tt = n2 * _sym(_re_hadamard(ws.minv, pr.did.T))
+            if want_tl:
+                c_tl = (
+                    2.0
+                    * n2
+                    * s1
+                    * _re_hadamard(pr.d_perp.conj().T, ws.pinv.conj())
+                    * inv_lam[None, :]
                 )
-                * inv_lam[None, :]
-            )
-            ripzr = ws.r_zl - pr.rpz @ ws.r_zl
-            core = (
-                _re_hadamard(eye_m - 2.0 * pr.p_dense, pr.p_dense.T)
-                - 4.0 * _re_hadamard(ripzr, pr.pz_dense.T)
-                - 2.0 * _re_hadamard(pr.rpz, (eye_m - 2.0 * pr.rpz).T)
-            )
-        c_ll = n2 * _sym(inv_lam[:, None] * core * inv_lam[None, :])
+            if want_l:
+                core = _re_hadamard(
+                    eye_m - 2.0 * pr.p_dense, pr.p_dense.T
+                ) - 2.0 * _re_hadamard(pr.rpz, (eye_m - 2.0 * pr.rpz).T)
+        else:
+            if want_t:
+                s4 = pr.rd.conj().T @ pr.d_perp - pr.qrd.conj().T @ ws.b_solve(
+                    ws.q_factor.conj().T @ pr.r_dperp
+                )
+                c_tt = n2 * _sym(
+                    _re_hadamard(pr.gfd, pr.pd.T)
+                    + _re_hadamard(ws.minv, pr.did.T)
+                    - np.diag(_diag_prod(pr.mzphir, pr.d2_perp).real)
+                    - _re_hadamard(ws.m_zl, s4.T)
+                    + _re_hadamard(pr.mzphir @ ws.d1, pr.gfd.T)
+                )
+            if want_tl:
+                t2 = pr.rd - pr.rq @ ws.b_solve(pr.qrd)
+                t3 = ws.d1.conj().T - pr.qrd.conj().T @ pr.binv_qh
+                rpm = pr.rq @ ws.b_solve(ws.rinv.conj().T)
+                c_tl = (
+                    2.0
+                    * n2
+                    * (
+                        s1 * _re_hadamard(pr.d_perp.conj().T, ws.pinv.conj())
+                        + s2 * _re_hadamard(pr.mzphih, t2.T)
+                        + s3 * _re_hadamard(t3, rpm.T)
+                    )
+                    * inv_lam[None, :]
+                )
+            if want_l:
+                ripzr = ws.r_zl - pr.rpz @ ws.r_zl
+                core = (
+                    _re_hadamard(eye_m - 2.0 * pr.p_dense, pr.p_dense.T)
+                    - 4.0 * _re_hadamard(ripzr, pr.pz_dense.T)
+                    - 2.0 * _re_hadamard(pr.rpz, (eye_m - 2.0 * pr.rpz).T)
+                )
+        if want_l:
+            c_ll = n2 * _sym(inv_lam[:, None] * core * inv_lam[None, :])
 
     return HessianBlocks(
         d_tt=d_tt, d_tl=d_tl, d_ll=d_ll, c_tt=c_tt, c_tl=c_tl, c_ll=c_ll
@@ -371,25 +390,26 @@ def hessian_blocks(
     return _hess_blocks(_Products(ws), _check_which(which), reduced)
 
 
-def _assemble_grad(blocks: GradientBlocks, which: str) -> np.ndarray:
+def _combine(which: str, d, c):
+    """The selected cost's piece: D, C, or their sum for S."""
     if which == "D":
-        return np.concatenate([blocks.d_theta, blocks.d_lam])
+        return d
     if which == "C":
-        return np.concatenate([blocks.c_theta, blocks.c_lam])
-    return np.concatenate(
-        [blocks.d_theta + blocks.c_theta, blocks.d_lam + blocks.c_lam]
-    )
+        return c
+    return d + c
+
+
+def _assemble_grad(blocks: GradientBlocks, which: str) -> np.ndarray:
+    return np.concatenate([
+        _combine(which, blocks.d_theta, blocks.c_theta),
+        _combine(which, blocks.d_lam, blocks.c_lam),
+    ])
 
 
 def _assemble_hess(blocks: HessianBlocks, which: str) -> np.ndarray:
-    if which == "D":
-        tt, tl, ll = blocks.d_tt, blocks.d_tl, blocks.d_ll
-    elif which == "C":
-        tt, tl, ll = blocks.c_tt, blocks.c_tl, blocks.c_ll
-    else:
-        tt = blocks.d_tt + blocks.c_tt
-        tl = blocks.d_tl + blocks.c_tl
-        ll = blocks.d_ll + blocks.c_ll
+    tt = _combine(which, blocks.d_tt, blocks.c_tt)
+    tl = _combine(which, blocks.d_tl, blocks.c_tl)
+    ll = _combine(which, blocks.d_ll, blocks.c_ll)
     k, m = tl.shape
     h = np.empty((k + m, k + m))
     h[:k, :k] = tt
@@ -414,14 +434,29 @@ def hessian(
 
 
 def grad_hess(
-    ws: WhitenedWorkspace, which: str = "S", reduced: bool = False
+    ws: WhitenedWorkspace,
+    which: str = "S",
+    reduced: bool = False,
+    block: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian together, sharing the intermediate products."""
+    """Gradient and Hessian together, sharing the intermediate products.
+
+    ``block='theta'`` or ``'lam'`` evaluates only that parameter block:
+    the gradient over it and its diagonal Hessian block, equal entry for
+    entry to the matching slices of the full result.  The default
+    ``None`` gives the full (K+M) gradient and Hessian.
+    """
     which = _check_which(which)
+    if block not in (None, "theta", "lam"):
+        raise ValueError("block must be None, 'theta' or 'lam'")
     pr = _Products(ws)
-    g = _assemble_grad(_grad_blocks(pr, which), which)
-    h = _assemble_hess(_hess_blocks(pr, which, reduced), which)
-    return g, h
+    gb = _grad_blocks(pr, which, block)
+    hb = _hess_blocks(pr, which, reduced, block)
+    if block == "theta":
+        return _combine(which, gb.d_theta, gb.c_theta), _combine(which, hb.d_tt, hb.c_tt)
+    if block == "lam":
+        return _combine(which, gb.d_lam, gb.c_lam), _combine(which, hb.d_ll, hb.c_ll)
+    return _assemble_grad(gb, which), _assemble_hess(hb, which)
 
 
 def grad_dml_uniform(ws: WhitenedWorkspace) -> np.ndarray:
@@ -444,7 +479,7 @@ def hess_dml_uniform(ws: WhitenedWorkspace, exact: bool = False) -> np.ndarray:
         raise ValueError("uniform Hessian requires a workspace with lambda == 1")
     pr = _Products(ws)
     if exact:
-        return _hess_blocks(pr, "D", reduced=False).d_tt
+        return _hess_blocks(pr, "D", reduced=False, block="theta").d_tt
     n2 = 2.0 * ws.n_snapshots
     return n2 * _sym(-_re_hadamard(pr.prp, pr.did.T))
 

@@ -131,8 +131,9 @@ class TrialRecord:
 
     ``theta_hat`` is permuted to the error-minimizing alignment with the
     ascending-sorted true angles, so ``sq_err[i]`` pairs ``theta_hat[i]``
-    with ``theta_true[i]``.  A failed run keeps NaN estimates and the
-    error text in ``note``; failures never abort a sweep.
+    with ``theta_true[i]``.  A failed run (a linear-algebra or value
+    error out of the estimator) keeps NaN estimates and the error text
+    in ``note``; such failures never abort a sweep.
     """
 
     snr_db: float
@@ -249,7 +250,7 @@ def _run_estimator(config: ScenarioConfig, rz, estimator: str, snr_db: float, tr
             flops = res.flop_estimate
             converged, diverged = res.converged, res.diverged_lambda
             note = res.note
-    except Exception as exc:  # record the failure, keep sweeping
+    except (np.linalg.LinAlgError, ValueError) as exc:  # record the failure, keep sweeping
         nan = (math.nan,) * k
         return TrialRecord(
             snr_db=float(snr_db),
@@ -337,8 +338,9 @@ def run_monte_carlo(config: ScenarioConfig, threads: int | None = None) -> Monte
     feeds it to every estimator in turn.  With ``threads`` > 1 the cells
     are distributed over a thread pool; records are assembled in cell
     order and aggregated order-insensitively, so results do not depend
-    on the worker count.  Estimator failures are recorded in their
-    :class:`TrialRecord` and never abort the sweep.
+    on the worker count.  Estimator failures (``LinAlgError`` and
+    ``ValueError``) are recorded in their :class:`TrialRecord` and never
+    abort the sweep; any other exception is a bug and propagates.
     """
     workers = 1 if threads is None else int(threads)
     if workers < 1:

@@ -34,11 +34,11 @@ DIVERGED_NOTE = "positive-flagged coordinates diverged"
 class NewtonOptions:
     """Knobs shared by every Newton invocation.
 
-    ``hessian_mode`` selects the joint-stage Hessian: 'full' uses every
-    summand of the closed-form blocks, 'reduced' (and 'approx', which is
-    treated the same for the joint stage) keeps only the summands that
-    dominate near convergence at high SNR.  The uniform line-search stage
-    always uses its negative-semidefinite approximate Hessian.
+    ``hessian_mode`` selects the stage-3 Hessian, joint or alternating:
+    'full' uses every summand of the closed-form blocks, 'reduced' keeps
+    only the summands that dominate near convergence at high SNR.  The
+    uniform line-search stage always uses its negative-semidefinite
+    approximate Hessian.
 
     ``divergence_factor`` bounds the growth of the positive-flagged
     coordinates over their starting maximum.  On the deterministic cost
@@ -59,8 +59,8 @@ class NewtonOptions:
     divergence_factor: float = 1e5
 
     def __post_init__(self):
-        if self.hessian_mode not in ("full", "reduced", "approx"):
-            raise ValueError("hessian_mode must be 'full', 'reduced' or 'approx'")
+        if self.hessian_mode not in ("full", "reduced"):
+            raise ValueError("hessian_mode must be 'full' or 'reduced'")
         if not (0.0 < self.backtrack < 1.0):
             raise ValueError("backtrack factor must lie in (0, 1)")
         if not (0.0 < self.lam_floor < 1.0):
@@ -112,7 +112,7 @@ def modified_cholesky(h: np.ndarray, scale: float = 1e-8):
         raise ValueError("Hessian contains non-finite entries")
     a = -h
     try:
-        return cho_factor(a, lower=True), 0.0
+        return cho_factor(a, lower=True, check_finite=False), 0.0
     except np.linalg.LinAlgError:
         pass
     diag = np.abs(np.diagonal(h))
@@ -120,7 +120,7 @@ def modified_cholesky(h: np.ndarray, scale: float = 1e-8):
     eye = np.eye(h.shape[0])
     for _ in range(2000):
         try:
-            return cho_factor(a + tau * eye, lower=True), tau
+            return cho_factor(a + tau * eye, lower=True, check_finite=False), tau
         except np.linalg.LinAlgError:
             tau *= 2.0
     raise np.linalg.LinAlgError("modified Cholesky failed to find a shift")
@@ -195,6 +195,7 @@ def newton_maximize(
             break
         out.n_grad_evals += 1
         factor, _ = modified_cholesky(h)
+        # cho_solve's finiteness check is what rejects a non-finite gradient
         step = cho_solve(factor, np.asarray(g, dtype=float))
 
         scale = np.maximum(1.0, np.abs(x))

@@ -1,9 +1,10 @@
 """Whitened workspace and concentrated likelihood costs.
 
 Everything downstream (costs, gradients, Hessians) is evaluated on a
-``WhitenedWorkspace`` built once per (theta, lambda) point.  The
-workspace keeps the thin QR factorization of the whitened steering
-matrix ``Phi = diag(lambda) @ Phi_o`` and derives every projection and
+``WhitenedWorkspace`` built once per (theta, lambda) point; the pieces
+only derivatives need are formed on first use.  The workspace keeps the
+thin QR factorization of the whitened steering matrix
+``Phi = diag(lambda) @ Phi_o`` and derives every projection and
 pseudoinverse from it; the Gram matrix ``Phi^H Phi`` is never inverted
 explicitly.
 
@@ -21,6 +22,7 @@ Cost conventions (all three are *maximized*):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -30,7 +32,6 @@ from .arrays import SteeringSet, _check_noise
 __all__ = [
     "RankDeficiencyError",
     "IndefiniteCovarianceError",
-    "FlopCounter",
     "SampleCovariance",
     "WhitenedWorkspace",
     "sample_covariance",
@@ -55,44 +56,6 @@ class IndefiniteCovarianceError(np.linalg.LinAlgError):
     """Compressed covariance Q^H R_zl Q is not positive definite."""
 
 
-@dataclass
-class FlopCounter:
-    """Coarse running count of real floating-point operations.
-
-    The accounting convention is stated explicitly: one complex
-    multiply-add is ``cmuladd`` real flops (8 by default: 4 multiplies
-    and 4 adds), one complex multiply is 6, one real multiply-add is 2.
-    Counts are approximate by design; they exist so demos and reports
-    can show where the work goes, not to replace the closed-form
-    per-iteration polynomials in :mod:`apndoa.flops`.
-    """
-
-    cmuladd: int = 8
-    total: float = 0.0
-
-    def add(self, flops: float):
-        self.total += flops
-
-    def add_gemm(self, m: int, k: int, n: int):
-        """Complex matrix product (m x k) @ (k x n)."""
-        self.total += self.cmuladd * m * k * n
-
-    def add_herk(self, m: int, k: int):
-        """Hermitian rank-k update, only one triangle counted."""
-        self.total += self.cmuladd * m * (m + 1) * k / 2
-
-    def add_qr(self, m: int, k: int):
-        # Householder QR, complex: ~ 4*(m*k^2 - k^3/3) cmuladds, plus the
-        # explicit thin Q build of roughly the same size.
-        self.total += self.cmuladd * 8 * (m * k * k - k ** 3 / 3.0)
-
-    def add_cholesky(self, k: int):
-        self.total += self.cmuladd * k ** 3 / 3.0
-
-    def add_real(self, flops: float):
-        self.total += flops
-
-
 @dataclass(frozen=True)
 class SampleCovariance:
     """Sample covariance R_z = (1/N) Z Z^H together with the snapshot count."""
@@ -106,6 +69,8 @@ class SampleCovariance:
             raise ValueError("covariance must be square")
         if self.n_snapshots < 1:
             raise ValueError("snapshot count must be positive")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("covariance has non-finite (NaN or Inf) entries")
         scale = max(np.abs(r).max(), 1.0)
         if np.abs(r - r.conj().T).max() > 1e-12 * scale:
             raise ValueError("covariance must be Hermitian")
@@ -116,14 +81,12 @@ class SampleCovariance:
         return self.matrix.shape[0]
 
 
-def sample_covariance(z: np.ndarray, counter: FlopCounter | None = None) -> SampleCovariance:
+def sample_covariance(z: np.ndarray) -> SampleCovariance:
     """Form R_z = (1/N) Z Z^H from an M x N snapshot matrix."""
     z = np.asarray(z, dtype=complex)
     if z.ndim != 2:
         raise ValueError("snapshot matrix must be M x N")
-    m, n = z.shape
-    if counter is not None:
-        counter.add_herk(m, n)
+    n = z.shape[1]
     return SampleCovariance(matrix=z @ z.conj().T / n, n_snapshots=n)
 
 
@@ -136,7 +99,11 @@ class WhitenedWorkspace:
     ``pinv = r_factor^-1 q_factor^H`` and the projector is applied as
     ``Q (Q^H A)`` without ever forming ``(Phi^H Phi)^-1`` directly.
 
-    The stochastic-cost pieces (``m_zl``, ``p_z``, ``logdet_c``) need the
+    The constructor fields are what a cost needs.  Everything else is
+    computed on first access and then cached: the whitened steering
+    derivatives ``d1``/``d2``, the factors ``rinv``, ``pinv`` and
+    ``minv`` that only derivatives use, and the stochastic-cost pieces
+    ``m_zl`` and ``logdet_c``.  Those last two (and ``p_z``) need the
     compressed covariance ``b = Q^H R_zl Q`` to be positive definite and
     raise :class:`IndefiniteCovarianceError` otherwise; the deterministic
     cost path never touches them.
@@ -147,19 +114,12 @@ class WhitenedWorkspace:
     n_snapshots: int
     r_z: np.ndarray            # unwhitened sample covariance
     phi: np.ndarray            # whitened steering matrix Lambda Phi_o
-    d1: np.ndarray             # whitened first derivatives Lambda dPhi_o
-    d2: np.ndarray             # whitened second derivatives
     q_factor: np.ndarray       # thin Q, M x K
     r_factor: np.ndarray       # upper-triangular R, K x K
-    pinv: np.ndarray           # Phi^+ = R^-1 Q^H, K x M
-    minv: np.ndarray           # (Phi^H Phi)^-1, K x K
     r_zl: np.ndarray           # whitened sample covariance Lambda R_z Lambda
     b: np.ndarray              # compressed covariance Q^H R_zl Q, K x K
-    counter: FlopCounter | None = None
-    _b_chol: tuple | None = field(default=None, repr=False)
-    _b_error: Exception | None = field(default=None, repr=False)
-    _m_zl: np.ndarray | None = field(default=None, repr=False)
-    _logdet_c: float | None = field(default=None, repr=False)
+    _b_chol: tuple | None = field(default=None, init=False, repr=False)
+    _b_error: Exception | None = field(default=None, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -173,13 +133,39 @@ class WhitenedWorkspace:
     def theta(self) -> np.ndarray:
         return self.steering.theta
 
+    # -- lazily built factors ---------------------------------------------
+
+    @cached_property
+    def d1(self) -> np.ndarray:
+        """Whitened first derivatives Lambda dPhi_o, M x K."""
+        return self.lam[:, None] * self.steering.d1
+
+    @cached_property
+    def d2(self) -> np.ndarray:
+        """Whitened second derivatives, M x K."""
+        return self.lam[:, None] * self.steering.d2
+
+    @cached_property
+    def rinv(self) -> np.ndarray:
+        """R^-1, K x K."""
+        return solve_triangular(
+            self.r_factor, np.eye(self.k, dtype=complex), check_finite=False
+        )
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """Phi^+ = R^-1 Q^H, K x M."""
+        return self.rinv @ self.q_factor.conj().T
+
+    @cached_property
+    def minv(self) -> np.ndarray:
+        """(Phi^H Phi)^-1 = R^-1 R^-H, K x K."""
+        return self.rinv @ self.rinv.conj().T
+
     # -- projector helpers ------------------------------------------------
 
     def project(self, a: np.ndarray) -> np.ndarray:
         """P @ a through the thin factor, P = Q Q^H."""
-        if self.counter is not None:
-            self.counter.add_gemm(self.k, self.m, a.shape[1] if a.ndim == 2 else 1)
-            self.counter.add_gemm(self.m, self.k, a.shape[1] if a.ndim == 2 else 1)
         return self.q_factor @ (self.q_factor.conj().T @ a)
 
     def perp(self, a: np.ndarray) -> np.ndarray:
@@ -188,9 +174,6 @@ class WhitenedWorkspace:
 
     def perp_rows(self, a: np.ndarray) -> np.ndarray:
         """a @ (I - P) for wide matrices."""
-        if self.counter is not None:
-            self.counter.add_gemm(a.shape[0], self.m, self.k)
-            self.counter.add_gemm(a.shape[0], self.k, self.m)
         return a - (a @ self.q_factor) @ self.q_factor.conj().T
 
     def projector(self) -> np.ndarray:
@@ -204,7 +187,7 @@ class WhitenedWorkspace:
             raise self._b_error
         if self._b_chol is None:
             try:
-                self._b_chol = cho_factor(self.b, lower=True)
+                self._b_chol = cho_factor(self.b, lower=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 self._b_error = IndefiniteCovarianceError(
                     "compressed covariance Q^H R_zl Q is not positive definite"
@@ -214,40 +197,27 @@ class WhitenedWorkspace:
 
     def b_solve(self, a: np.ndarray) -> np.ndarray:
         """Solve (Q^H R_zl Q) x = a via the cached Cholesky factor."""
-        chol = self._require_spd()
-        if self.counter is not None:
-            cols = a.shape[1] if a.ndim == 2 else 1
-            self.counter.add_gemm(self.k, self.k, cols)
-        return cho_solve(chol, a)
+        return cho_solve(self._require_spd(), a, check_finite=False)
 
-    @property
+    @cached_property
     def m_zl(self) -> np.ndarray:
         """(Phi^H R_zl Phi)^-1 = R^-1 B^-1 R^-H."""
-        if self._m_zl is None:
-            binv = self.b_solve(np.eye(self.k, dtype=complex))
-            rinv_b = solve_triangular(self.r_factor, binv)
-            self._m_zl = solve_triangular(
-                self.r_factor, rinv_b.conj().T
-            ).conj().T
-        return self._m_zl
+        binv = self.b_solve(np.eye(self.k, dtype=complex))
+        rinv_b = solve_triangular(self.r_factor, binv, check_finite=False)
+        return solve_triangular(
+            self.r_factor, rinv_b.conj().T, check_finite=False
+        ).conj().T
 
     @property
     def p_z(self) -> np.ndarray:
         """Oblique factor P_z = Phi M_zl Phi^H = Q B^-1 Q^H."""
-        qb = self.b_solve(self.q_factor.conj().T)
-        if self.counter is not None:
-            self.counter.add_gemm(self.m, self.k, self.m)
-        return self.q_factor @ qb
+        return self.q_factor @ self.b_solve(self.q_factor.conj().T)
 
-    @property
+    @cached_property
     def logdet_c(self) -> float:
         """log|C| with C = I - P + P R_zl P, via |C| = |Q^H R_zl Q|."""
-        if self._logdet_c is None:
-            chol = self._require_spd()
-            self._logdet_c = 2.0 * float(
-                np.sum(np.log(np.real(np.diagonal(chol[0]))))
-            )
-        return self._logdet_c
+        chol = self._require_spd()
+        return 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol[0])))))
 
     def trace_perp(self) -> float:
         """tr{(I - P) R_zl} = tr{R_zl} - tr{B}."""
@@ -258,9 +228,13 @@ def build_workspace(
     r_z: SampleCovariance,
     steering: SteeringSet,
     lam,
-    counter: FlopCounter | None = None,
 ) -> WhitenedWorkspace:
     """Assemble the whitened workspace at a (theta, lambda) point.
+
+    Only what a cost needs is formed here: the whitened steering matrix,
+    its thin QR with the rank check, the whitened covariance ``r_zl`` and
+    its compression ``b``.  Derivative factors are built on first use;
+    see :class:`WhitenedWorkspace`.
 
     Raises
     ------
@@ -271,37 +245,21 @@ def build_workspace(
     """
     if not isinstance(r_z, SampleCovariance):
         raise TypeError("r_z must be a SampleCovariance")
-    m, k = steering.phi.shape
+    m = steering.phi.shape[0]
     if r_z.m != m:
         raise ValueError("covariance size does not match the steering set")
     lam = _check_noise(lam, m)
 
     phi = lam[:, None] * steering.phi
-    d1 = lam[:, None] * steering.d1
-    d2 = lam[:, None] * steering.d2
-
-    if counter is not None:
-        counter.add_qr(m, k)
     q, r = np.linalg.qr(phi)
     diag = np.abs(np.diagonal(r))
-    if diag.min() <= RANK_RTOL * diag.max():
+    if not diag.min() > RANK_RTOL * diag.max():
         raise RankDeficiencyError(
             "whitened steering matrix is numerically rank deficient"
         )
 
-    eye_k = np.eye(k, dtype=complex)
-    rinv = solve_triangular(r, eye_k)
-    pinv = rinv @ q.conj().T
-    minv = rinv @ rinv.conj().T
-
     # row/column scaling instead of dense diagonal products
     r_zl = (lam[:, None] * r_z.matrix) * lam[None, :]
-    if counter is not None:
-        counter.add_real(4.0 * m * m)       # the two scalings, complex*real
-        counter.add_gemm(k, m, m)
-        counter.add_gemm(k, m, k)
-        counter.add_gemm(k, k, k)           # rinv products
-        counter.add_gemm(k, m, k)
     b = (q.conj().T @ r_zl) @ q
 
     return WhitenedWorkspace(
@@ -310,21 +268,14 @@ def build_workspace(
         n_snapshots=r_z.n_snapshots,
         r_z=r_z.matrix,
         phi=phi,
-        d1=d1,
-        d2=d2,
         q_factor=q,
         r_factor=r,
-        pinv=pinv,
-        minv=minv,
         r_zl=r_zl,
         b=b,
-        counter=counter,
     )
 
 
 def _trace_cost(ws: WhitenedWorkspace) -> float:
-    if ws.counter is not None:
-        ws.counter.add_real(4.0 * ws.m)
     return -ws.n_snapshots * ws.trace_perp()
 
 

@@ -4,6 +4,7 @@ initializer, and full estimation runs for every target."""
 import numpy as np
 import pytest
 
+import apndoa.apn
 from apndoa import (
     DIVERGED_NOTE,
     ArrayGeometry,
@@ -36,6 +37,18 @@ def snapshots(snr_db, seed=0, n=100, theta=THETA, model=MODEL, geom=GEOM):
     lam = scale_for_snr(geom, theta, model, linear_trend(geom.m), snr_db)
     z = synthesize(geom, theta, model, lam, n, stream_rng(seed))
     return z, lam
+
+
+def benchmark_batch(snr_db, trial=0):
+    """The benchmark sweep's batch for one SNR and trial."""
+    config = benchmark_scenario()
+    lam = scale_for_snr(
+        config.geometry, config.theta_true, config.source_model, config.noise_trend, snr_db
+    )
+    rng = stream_rng(config.seed, config.snr_db.index(snr_db), trial)
+    return synthesize(
+        config.geometry, config.theta_true, config.source_model, lam, config.n_snapshots, rng
+    )
 
 
 def test_first_insertion_matches_the_grid_argmax():
@@ -251,3 +264,26 @@ def test_alternating_target_counts_outer_sweeps():
     res = apn_estimate(z, GEOM, 3, target="dml-alt", options=opts)
     assert res.stage3 is not None
     assert 0 < res.iters_stage3 <= 7
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 40.0])
+@pytest.mark.parametrize("target", TARGETS)
+def test_no_point_is_built_twice(monkeypatch, target, snr_db):
+    built = []
+    original = apndoa.apn.build_workspace
+
+    def counting(r_z, steering, lam, *rest):
+        built.append((steering.theta.tobytes(), np.asarray(lam).tobytes()))
+        return original(r_z, steering, lam, *rest)
+
+    monkeypatch.setattr(apndoa.apn, "build_workspace", counting)
+    apn_estimate(benchmark_batch(snr_db), GEOM, 3, target=target)
+    assert len(built) > 0
+    assert len(set(built)) == len(built)
+
+
+def test_non_finite_snapshots_are_rejected_up_front():
+    z, _ = snapshots(20.0, seed=9)
+    z[4, 17] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        apn_estimate(z, GEOM, 3, target="sml")

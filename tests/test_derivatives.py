@@ -119,6 +119,21 @@ def test_grad_hess_matches_separate_calls():
     assert np.array_equal(he, hessian(ws, "S"))
 
 
+@pytest.mark.parametrize("which", ["D", "S"])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_single_block_equals_the_slice_of_the_full_result(which, reduced):
+    g, rz, th, lam = make_point(8)
+    k = th.size
+    ws = build_workspace(rz, steering_set(g, th), lam)
+    g_full, h_full = grad_hess(ws, which, reduced)
+    g_t, h_t = grad_hess(ws, which, reduced, block="theta")
+    g_l, h_l = grad_hess(ws, which, reduced, block="lam")
+    assert np.array_equal(g_t, g_full[:k]) and np.array_equal(h_t, h_full[:k, :k])
+    assert np.array_equal(g_l, g_full[k:]) and np.array_equal(h_l, h_full[k:, k:])
+    with pytest.raises(ValueError):
+        grad_hess(ws, which, reduced, block="mu")
+
+
 def test_hessians_are_symmetric():
     g, rz, th, lam = make_point(7)
     ws = build_workspace(rz, steering_set(g, th), lam)

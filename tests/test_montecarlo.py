@@ -291,6 +291,15 @@ def test_failures_are_recorded_not_raised(monkeypatch):
     assert np.isfinite(agg["music"].rmse)
 
 
+def test_programming_errors_are_raised_not_recorded(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(mc, "apn_estimate", broken)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        run_monte_carlo(tiny_config(estimators=("sml",)))
+
+
 def test_music_record_shape():
     result = run_monte_carlo(tiny_config(estimators=("music",), trials=1))
     (rec,) = result.records

@@ -200,3 +200,10 @@ def test_sample_covariance_validation():
         SampleCovariance(np.ones((2, 3)), 5)
     with pytest.raises(ValueError):
         SampleCovariance(np.array([[1.0, 1.0], [0.0, 1.0]]), 5)
+
+
+def test_sample_covariance_rejects_non_finite_entries():
+    r = np.eye(3, dtype=complex)
+    r[1, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        SampleCovariance(r, 10)
