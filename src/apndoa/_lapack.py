@@ -1,0 +1,91 @@
+"""Direct BLAS/LAPACK calls for the linear algebra done at every
+(theta, lambda) point.
+
+The matrices here are at most M x (K + M), far too small for threads.
+``scipy.linalg.solve_triangular`` solves through LAPACK ``trtrs``, which
+in OpenBLAS wakes the library's worker threads on every call, even at
+3 x 3, and they then spin on the other cores; BLAS ``trsm`` does the
+same solve on the calling thread.  Calling the routines directly also
+skips the argument handling of the scipy and numpy wrappers, which at
+these sizes costs more than the arithmetic.
+
+Each function returns the same bits as the call named in its docstring:
+it runs the same routine with the same arguments on the same memory
+layout.  Inputs are trusted; :func:`apndoa.apn.apn_estimate` and
+:func:`apndoa.workspace.build_workspace` validate at the boundary.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
+
+__all__ = ["thin_qr", "solve_upper", "cholesky", "cho_solve"]
+
+(_ztrsm,) = get_blas_funcs(("trsm",), dtype=complex)
+_zgeqrf, _zungqr = get_lapack_funcs(("geqrf", "ungqr"), dtype=complex)
+_POTRF = {
+    np.dtype(t): get_lapack_funcs(("potrf",), dtype=t)[0] for t in (float, complex)
+}
+_POTRS = {
+    np.dtype(t): get_lapack_funcs(("potrs",), dtype=t)[0] for t in (float, complex)
+}
+
+
+def _check(info: int, routine: str) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
+
+
+def thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of a complex M x K matrix with M >= K: ``np.linalg.qr(a)``.
+
+    ``zgeqrf`` then ``zungqr``, as numpy calls them, and both factors
+    C-ordered, as numpy returns them.  Below LAPACK's block size (32
+    columns) both routines run unblocked whatever the workspace size, so
+    the default workspace gives numpy's bits.
+    """
+    qr, tau, _, info = _zgeqrf(a)
+    _check(info, "zgeqrf")
+    r = np.triu(qr[: a.shape[1]])
+    q, _, info = _zungqr(qr, tau, overwrite_a=1)
+    _check(info, "zungqr")
+    return np.ascontiguousarray(q), r
+
+
+def solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``R^-1 b`` for a nonsingular upper-triangular complex ``r`` and a
+    2-D ``b``: ``scipy.linalg.solve_triangular(r, b)``, through ``ztrsm``.
+
+    LAPACK ``ztrtrs``, which scipy calls, is a singularity check followed
+    by this ``ztrsm`` call.  Like scipy, a C-ordered ``r`` is passed as
+    the lower-triangular transpose, so no copy is made and the operation
+    order is scipy's.  The caller guarantees a nonzero diagonal.
+    """
+    if r.flags.f_contiguous:
+        return _ztrsm(1.0, r, b)
+    return _ztrsm(1.0, r.T, b, lower=1, trans_a=1)
+
+
+def cholesky(a: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """Lower Cholesky factor of a Hermitian (or real symmetric) matrix, or
+    ``None`` if it is not positive definite.
+
+    The factor is ``scipy.linalg.cho_factor(a, lower=True)``: a
+    ``(c, True)`` pair whose upper triangle keeps the entries of ``a``,
+    which ``scipy.linalg.cho_solve`` and :func:`cho_solve` accept.
+    """
+    c, info = _POTRF[a.dtype](a, lower=1, clean=0)
+    if info > 0:
+        return None
+    _check(info, "potrf")
+    return c, True
+
+
+def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` from :func:`cholesky`'s factor of ``A``:
+    ``scipy.linalg.cho_solve(factor, b)``, without its finiteness check."""
+    c, lower = factor
+    x, info = _POTRS[c.dtype](c, b, lower=lower)
+    _check(info, "potrs")
+    return x

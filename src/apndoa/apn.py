@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lstsq
 
+from ._lapack import thin_qr
 from .arrays import ArrayGeometry, steering_set
 from .derivatives import grad_dml_uniform, grad_hess, hess_dml_uniform
 from .newton import DIVERGED_NOTE, NewtonOptions, NewtonOutcome, newton_maximize
@@ -152,7 +153,7 @@ def ap_add_angle(
 
     q = None
     if theta.size:
-        q, _ = np.linalg.qr(steering_set(geometry, theta).phi)
+        q, _ = thin_qr(steering_set(geometry, theta).phi)
 
     scores = np.full(grid, -np.inf)
     n_evaluated = int(allowed.sum())
@@ -257,10 +258,9 @@ class _Workspaces:
     derivatives at the point its last cost call accepted, and every
     stage or alternating block starts where the previous one stopped:
     at that point or, after a line search found no ascent step, at the
-    held one.  A point is therefore built again only when a line search
-    is repeated from the same start, as when a stalled lambda sweep is
-    followed by a theta sweep that does not move.  Keys are bytes, not
-    array identities, because Newton clips trial arrays in place.  A
+    held one.  No line search is repeated from the same start (see
+    :func:`_alternating`), so no point is built twice.  Keys are bytes,
+    not array identities, because Newton clips trial arrays in place.  A
     failed build leaves the last-built entry empty.
     """
 
@@ -443,6 +443,12 @@ def _alternating(j_cost, j_grad_hess, x0, k, m, opts: NewtonOptions):
     other block's sweep accepted, so its first cost and derivative
     evaluations reuse that point's workspace.
 
+    A lambda sweep that would start where the previous one started (the
+    previous one left lambda unchanged and the theta sweep between them
+    left theta unchanged) is not run again: Newton is deterministic, so
+    it would repeat the previous outcome, which is reused, and its
+    evaluations are not counted.
+
     A sweep that moves the parameters by less than ``step_tol`` in the
     scaled norm ``max_i |dx_i| / max(1, |x_i|)`` ends the run; it counts
     as converged only if neither block's line search stalled.  The run
@@ -457,6 +463,7 @@ def _alternating(j_cost, j_grad_hess, x0, k, m, opts: NewtonOptions):
     converged = diverged = False
     cost = j_cost(x)
     note = ""
+    l_start = None              # bytes of the point the last lambda sweep started at
 
     def t_cost(t):
         return j_cost(np.concatenate([t, x[k:]]))
@@ -474,11 +481,15 @@ def _alternating(j_cost, j_grad_hess, x0, k, m, opts: NewtonOptions):
         x_prev = x.copy()
         out_t = newton_maximize(t_cost, t_gh, x[:k], one_step)
         x[:k] = out_t.x
-        out_l = newton_maximize(l_cost, l_gh, x[k:], one_step, positive=lam_mask)
+        grad_evals += out_t.n_grad_evals
+        cost_evals += out_t.n_cost_evals
+        if x.tobytes() != l_start:
+            l_start = x.tobytes()
+            out_l = newton_maximize(l_cost, l_gh, x[k:], one_step, positive=lam_mask)
+            grad_evals += out_l.n_grad_evals
+            cost_evals += out_l.n_cost_evals
         x[k:] = out_l.x
         outer += 1
-        grad_evals += out_t.n_grad_evals + out_l.n_grad_evals
-        cost_evals += out_t.n_cost_evals + out_l.n_cost_evals
         cost = max(out_t.cost, out_l.cost)
         if out_t.note.startswith("derivative") or out_l.note.startswith("derivative"):
             note = out_t.note or out_l.note

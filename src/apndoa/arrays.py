@@ -100,11 +100,15 @@ def _check_angles(theta, m_sensors=None) -> np.ndarray:
     t = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
     if t.size < 1:
         raise ValueError("at least one angle is required")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("angles must be finite")
-    if np.any(np.abs(t) >= _HALF_PI):
-        raise ValueError("angles must lie strictly inside (-pi/2, pi/2)")
-    if np.unique(t).size != t.size:
+    # valid angles, sorted, strictly increase inside (-pi/2, pi/2); NaN
+    # sorts last and fails the bound.  Only a failure looks further, to
+    # name the rule that broke.
+    s = np.sort(t)
+    if not (-_HALF_PI < s[0] and s[-1] < _HALF_PI and (s[1:] > s[:-1]).all()):
+        if not np.all(np.isfinite(t)):
+            raise ValueError("angles must be finite")
+        if np.any(np.abs(t) >= _HALF_PI):
+            raise ValueError("angles must lie strictly inside (-pi/2, pi/2)")
         raise ValueError("angles must be pairwise distinct")
     if m_sensors is not None and t.size > m_sensors:
         raise ValueError("more sources than sensors")

@@ -49,6 +49,7 @@ are assembled as elementwise sums of the D- and C-blocks.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,10 +100,15 @@ def _sym(x: np.ndarray) -> np.ndarray:
 
 class _Products:
     """Lazily cached matrix products shared by the gradient and Hessian
-    blocks at one workspace point."""
+    blocks at one workspace point.
+
+    The workspace holds its products (see :func:`_products`) and they
+    refer back to it weakly, so the pair forms no reference cycle and is
+    freed as soon as the workspace is dropped.
+    """
 
     def __init__(self, ws: WhitenedWorkspace):
-        self.ws = ws
+        self.ws = weakref.proxy(ws)
 
     # -- deterministic-path pieces --------------------------------------
 
@@ -215,6 +221,15 @@ class _Products:
     @cached_property
     def diag_rpz(self) -> np.ndarray:
         return _diag_prod(self.rq, self.binv_qh)
+
+
+def _products(ws: WhitenedWorkspace) -> _Products:
+    """The products at the workspace's point, shared by every gradient and
+    Hessian call there (the uniform gradient and Hessian of one stage-1
+    iteration, the two block calls of one alternating step)."""
+    if ws._products is None:
+        ws._products = _Products(ws)
+    return ws._products
 
 
 @dataclass(frozen=True)
@@ -379,7 +394,7 @@ def _hess_blocks(
 
 def gradient_blocks(ws: WhitenedWorkspace, which: str = "S") -> GradientBlocks:
     """Gradient blocks of the selected concentrated cost at the workspace point."""
-    return _grad_blocks(_Products(ws), _check_which(which))
+    return _grad_blocks(_products(ws), _check_which(which))
 
 
 def hessian_blocks(
@@ -387,7 +402,7 @@ def hessian_blocks(
 ) -> HessianBlocks:
     """Hessian blocks of the selected cost; ``reduced=True`` keeps only the
     summands that dominate near convergence at high SNR."""
-    return _hess_blocks(_Products(ws), _check_which(which), reduced)
+    return _hess_blocks(_products(ws), _check_which(which), reduced)
 
 
 def _combine(which: str, d, c):
@@ -449,7 +464,7 @@ def grad_hess(
     which = _check_which(which)
     if block not in (None, "theta", "lam"):
         raise ValueError("block must be None, 'theta' or 'lam'")
-    pr = _Products(ws)
+    pr = _products(ws)
     gb = _grad_blocks(pr, which, block)
     hb = _hess_blocks(pr, which, reduced, block)
     if block == "theta":
@@ -463,7 +478,7 @@ def grad_dml_uniform(ws: WhitenedWorkspace) -> np.ndarray:
     """Gradient of the uniform-noise deterministic cost over theta."""
     if np.any(ws.lam != 1.0):
         raise ValueError("uniform gradient requires a workspace with lambda == 1")
-    pr = _Products(ws)
+    pr = _products(ws)
     return 2.0 * ws.n_snapshots * _diag_prod(ws.pinv, pr.r_dperp).real
 
 
@@ -477,7 +492,7 @@ def hess_dml_uniform(ws: WhitenedWorkspace, exact: bool = False) -> np.ndarray:
     """
     if np.any(ws.lam != 1.0):
         raise ValueError("uniform Hessian requires a workspace with lambda == 1")
-    pr = _Products(ws)
+    pr = _products(ws)
     if exact:
         return _hess_blocks(pr, "D", reduced=False, block="theta").d_tt
     n2 = 2.0 * ws.n_snapshots

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
+from ._lapack import cho_solve, cholesky
 from .workspace import IndefiniteCovarianceError, RankDeficiencyError
 
 __all__ = [
@@ -96,9 +96,11 @@ def modified_cholesky(h: np.ndarray, scale: float = 1e-8):
     """Cholesky factor of ``-(h - tau I)`` with the smallest shift found
     by doubling.
 
-    Returns ``(factor, tau)`` where ``factor`` is a scipy ``cho_factor``
-    result for ``-h + tau I`` and ``tau = 0`` whenever ``h`` is already
-    negative definite.
+    Returns ``(factor, tau)`` where ``factor`` is the lower Cholesky
+    factor of ``-h + tau I`` as a ``(c, True)`` pair, equal to scipy's
+    ``cho_factor(-h + tau I, lower=True)`` and accepted by its
+    ``cho_solve``, and ``tau = 0`` whenever ``h`` is already negative
+    definite.
 
     The doubling starts at ``scale`` times the smallest diagonal
     magnitude rather than the matrix norm: the joint Hessian mixes angle
@@ -111,18 +113,17 @@ def modified_cholesky(h: np.ndarray, scale: float = 1e-8):
     if not np.all(np.isfinite(h)):
         raise ValueError("Hessian contains non-finite entries")
     a = -h
-    try:
-        return cho_factor(a, lower=True, check_finite=False), 0.0
-    except np.linalg.LinAlgError:
-        pass
+    factor = cholesky(a)
+    if factor is not None:
+        return factor, 0.0
     diag = np.abs(np.diagonal(h))
     tau = scale * max(diag.min(), 1e-300)
     eye = np.eye(h.shape[0])
     for _ in range(2000):
-        try:
-            return cho_factor(a + tau * eye, lower=True, check_finite=False), tau
-        except np.linalg.LinAlgError:
-            tau *= 2.0
+        factor = cholesky(a + tau * eye)
+        if factor is not None:
+            return factor, tau
+        tau *= 2.0
     raise np.linalg.LinAlgError("modified Cholesky failed to find a shift")
 
 
@@ -195,8 +196,10 @@ def newton_maximize(
             break
         out.n_grad_evals += 1
         factor, _ = modified_cholesky(h)
-        # cho_solve's finiteness check is what rejects a non-finite gradient
-        step = cho_solve(factor, np.asarray(g, dtype=float))
+        g = np.asarray(g, dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise ValueError("gradient contains non-finite entries")
+        step = cho_solve(factor, g)
 
         scale = np.maximum(1.0, np.abs(x))
         if (np.abs(step) / scale).max() < opts.step_tol:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
+from ._lapack import cho_solve, cholesky, solve_upper, thin_qr
 from .arrays import SteeringSet, _check_noise
 
 __all__ = [
@@ -120,6 +120,9 @@ class WhitenedWorkspace:
     b: np.ndarray              # compressed covariance Q^H R_zl Q, K x K
     _b_chol: tuple | None = field(default=None, init=False, repr=False)
     _b_error: Exception | None = field(default=None, init=False, repr=False)
+    # the products every derivative call at this point shares, made on
+    # first use by apndoa.derivatives
+    _products: object | None = field(default=None, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -148,9 +151,7 @@ class WhitenedWorkspace:
     @cached_property
     def rinv(self) -> np.ndarray:
         """R^-1, K x K."""
-        return solve_triangular(
-            self.r_factor, np.eye(self.k, dtype=complex), check_finite=False
-        )
+        return solve_upper(self.r_factor, np.eye(self.k, dtype=complex))
 
     @cached_property
     def pinv(self) -> np.ndarray:
@@ -186,27 +187,25 @@ class WhitenedWorkspace:
         if self._b_error is not None:
             raise self._b_error
         if self._b_chol is None:
-            try:
-                self._b_chol = cho_factor(self.b, lower=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
+            chol = cholesky(self.b)
+            if chol is None:
                 self._b_error = IndefiniteCovarianceError(
                     "compressed covariance Q^H R_zl Q is not positive definite"
                 )
-                raise self._b_error from exc
+                raise self._b_error
+            self._b_chol = chol
         return self._b_chol
 
     def b_solve(self, a: np.ndarray) -> np.ndarray:
         """Solve (Q^H R_zl Q) x = a via the cached Cholesky factor."""
-        return cho_solve(self._require_spd(), a, check_finite=False)
+        return cho_solve(self._require_spd(), a)
 
     @cached_property
     def m_zl(self) -> np.ndarray:
         """(Phi^H R_zl Phi)^-1 = R^-1 B^-1 R^-H."""
         binv = self.b_solve(np.eye(self.k, dtype=complex))
-        rinv_b = solve_triangular(self.r_factor, binv, check_finite=False)
-        return solve_triangular(
-            self.r_factor, rinv_b.conj().T, check_finite=False
-        ).conj().T
+        rinv_b = solve_upper(self.r_factor, binv)
+        return solve_upper(self.r_factor, rinv_b.conj().T).conj().T
 
     @property
     def p_z(self) -> np.ndarray:
@@ -251,7 +250,7 @@ def build_workspace(
     lam = _check_noise(lam, m)
 
     phi = lam[:, None] * steering.phi
-    q, r = np.linalg.qr(phi)
+    q, r = thin_qr(phi)
     diag = np.abs(np.diagonal(r))
     if not diag.min() > RANK_RTOL * diag.max():
         raise RankDeficiencyError(

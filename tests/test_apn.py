@@ -266,9 +266,28 @@ def test_alternating_target_counts_outer_sweeps():
     assert 0 < res.iters_stage3 <= 7
 
 
-@pytest.mark.parametrize("snr_db", [0.0, 40.0])
-@pytest.mark.parametrize("target", TARGETS)
-def test_no_point_is_built_twice(monkeypatch, target, snr_db):
+def benchmark_round_batch(seed, snr_index):
+    """The batch the benchmark's ``single-sml`` and ``alt`` workloads draw
+    for (seed, round 0, SNR index): fixed waveforms plus fresh noise from
+    ``SeedSequence([seed, round, snr_index])``."""
+    config = benchmark_scenario()
+    lam = scale_for_snr(
+        config.geometry,
+        config.theta_true,
+        config.source_model,
+        config.noise_trend,
+        config.snr_db[snr_index],
+    )
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0, snr_index]))
+    m, n = config.geometry.m, config.n_snapshots
+    noise = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
+    phi = steering_set(config.geometry, config.theta_true).phi
+    return phi @ config.source_model.s + noise / lam[:, None]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The (theta, lambda) keys of every workspace apn_estimate builds."""
     built = []
     original = apndoa.apn.build_workspace
 
@@ -277,9 +296,29 @@ def test_no_point_is_built_twice(monkeypatch, target, snr_db):
         return original(r_z, steering, lam, *rest)
 
     monkeypatch.setattr(apndoa.apn, "build_workspace", counting)
+    return built
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 40.0])
+@pytest.mark.parametrize("target", TARGETS)
+def test_no_point_is_built_twice(builds, target, snr_db):
     apn_estimate(benchmark_batch(snr_db), GEOM, 3, target=target)
-    assert len(built) > 0
-    assert len(set(built)) == len(built)
+    assert len(builds) > 0
+    assert len(set(builds)) == len(builds)
+
+
+@pytest.mark.parametrize("seed", [14, 18])
+def test_a_stalled_lambda_sweep_is_not_repeated(builds, seed):
+    """On these 20 dB batches a lambda sweep stalls and the next theta
+    sweep leaves theta as it was, so a new lambda sweep would retry the
+    same trial points.  It is not run, and the stall is still reported."""
+    res = apn_estimate(benchmark_round_batch(seed, 2), GEOM, 3, target="sml-alt")
+    assert len(set(builds)) == len(builds)
+    assert res.note == "line search found no ascent step"
+    assert not res.converged
+    # every outer step ran both sweeps except the last, whose lambda
+    # sweep would have repeated its predecessor
+    assert res.stage3.grad_evals == 2 * res.iters_stage3 - 1
 
 
 def test_non_finite_snapshots_are_rejected_up_front():

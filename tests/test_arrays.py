@@ -72,6 +72,21 @@ def test_steering_set_rejects_bad_angles():
         steering_set(g, [np.pi / 2])
     with pytest.raises(ValueError):
         steering_set(g, [0.1, 0.2, 0.3, 0.4, 0.5])
+    # the message names the first rule broken, in this order
+    for theta, message in [
+        ([], "at least one angle"),
+        ([0.1, np.nan], "finite"),
+        ([np.nan, np.nan, 0.1], "finite"),
+        ([-np.inf, 0.1], "finite"),
+        ([0.1, -np.pi / 2], "strictly inside"),
+        ([0.3, 2.0, 0.3], "strictly inside"),
+        ([0.1, 0.1], "pairwise distinct"),
+        ([0.0, -0.0], "pairwise distinct"),
+        ([0.1, 0.1, 0.3, 0.4, 0.5], "pairwise distinct"),
+        ([0.1, 0.2, 0.3, 0.4, 0.5], "more sources than sensors"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            steering_set(g, theta)
 
 
 def test_stochastic_model_draw_covariance():

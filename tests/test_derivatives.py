@@ -179,6 +179,35 @@ def test_default_uniform_hessian_is_negative_semidefinite():
         assert eig.max() < 1e-8 * max(1.0, abs(eig.min()))
 
 
+def test_derivative_calls_at_one_point_share_their_products(monkeypatch):
+    """(I-P) D is formed once per workspace however many derivative calls
+    are made there, and each result equals the one a fresh workspace
+    gives."""
+    from apndoa.workspace import WhitenedWorkspace
+
+    g, rz, th, lam = make_point(11)
+    ones = np.ones(rz.m)
+
+    def point(l):
+        return build_workspace(rz, steering_set(g, th), l)
+
+    alone = (grad_dml_uniform(point(ones)), hess_dml_uniform(point(ones)),
+             grad_hess(point(lam), "S", block="theta"), grad_hess(point(lam), "S", block="lam"))
+    perp_calls = []
+    perp = WhitenedWorkspace.perp
+    monkeypatch.setattr(
+        WhitenedWorkspace, "perp", lambda self, a: perp_calls.append(1) or perp(self, a)
+    )
+    uniform, joint = point(ones), point(lam)
+    shared = (grad_dml_uniform(uniform), hess_dml_uniform(uniform),
+              grad_hess(joint, "S", block="theta"), grad_hess(joint, "S", block="lam"))
+    assert len(perp_calls) == 3  # (I-P) D at each point, (I-P) D2 for the theta block
+    for a, b in zip(alone[:2], shared[:2]):
+        assert np.array_equal(a, b)
+    for a, b in zip(alone[2:], shared[2:]):
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
 def test_uniform_paths_reject_nonuniform_lambda():
     g, rz, th, lam = make_point(10)
     ws = build_workspace(rz, steering_set(g, th), lam)

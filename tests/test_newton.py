@@ -89,6 +89,30 @@ def test_modified_cholesky_rejects_non_finite_input():
         modified_cholesky(np.array([[np.nan, 0.0], [0.0, -1.0]]))
 
 
+def test_modified_cholesky_gives_scipy_factors_at_every_shift():
+    from scipy.linalg import cho_factor
+
+    h = np.array([[-4.0, 1.0], [1.0, -3.0]])
+    factor, tau = modified_cholesky(h)
+    assert tau == 0.0 and factor[1] is True
+    assert np.array_equal(factor[0], cho_factor(-h, lower=True)[0])
+    h = np.array([[1.0, 0.5, 0.0], [0.5, -2.0, 0.3], [0.0, 0.3, -1.0]])
+    factor, tau = modified_cholesky(h)
+    assert tau > 1.0
+    assert np.array_equal(factor[0], cho_factor(-h + tau * np.eye(3), lower=True)[0])
+
+
+def test_non_finite_gradient_is_rejected_before_the_solve():
+    def cost(x):
+        return -float(x @ x)
+
+    def gh(x):
+        return np.array([np.nan, 1.0]), -2.0 * np.eye(2)
+
+    with pytest.raises(ValueError, match="non-finite"):
+        newton_maximize(cost, gh, np.array([1.0, 1.0]))
+
+
 def test_divergence_detector_on_a_log_barrier():
     # cost 2N sum(log lam) grows without bound; Newton doubles lam each
     # iteration until the growth clamp, so the positive coordinates must

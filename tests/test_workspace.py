@@ -207,3 +207,80 @@ def test_sample_covariance_rejects_non_finite_entries():
     r[1, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         SampleCovariance(r, 10)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_direct_lapack_calls_give_the_scipy_and_numpy_bits(seed, k):
+    """The per-point factors come from direct BLAS/LAPACK calls; each must
+    equal, bit for bit, the scipy or numpy call it replaced."""
+    from scipy.linalg import cho_factor, cho_solve, solve_triangular
+
+    g, th, lam, z = make_instance(seed, k=k)
+    ws = build_workspace(sample_covariance(z), steering_set(g, th), lam)
+
+    q, r = np.linalg.qr(ws.phi)
+    assert np.array_equal(ws.q_factor, q)
+    assert np.array_equal(ws.r_factor, r)
+    eye = np.eye(k, dtype=complex)
+    assert np.array_equal(ws.rinv, solve_triangular(r, eye))
+    chol = cho_factor(ws.b, lower=True)
+    assert np.array_equal(ws.b_solve(ws.q_factor.conj().T), cho_solve(chol, ws.q_factor.conj().T))
+    rinv_b = solve_triangular(r, cho_solve(chol, eye))
+    assert np.array_equal(ws.m_zl, solve_triangular(r, rinv_b.conj().T).conj().T)
+    assert ws.logdet_c == 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol[0])))))
+
+
+def test_indefinite_compression_raises_and_caches_the_error():
+    g = ArrayGeometry.ula(5)
+    sset = steering_set(g, np.array([0.2, 0.8]))
+    q, _ = np.linalg.qr(sset.phi)
+    ws = build_workspace(SampleCovariance(np.eye(5) - 1.5 * (q @ q.conj().T), 10), sset, np.ones(5))
+    with pytest.raises(IndefiniteCovarianceError, match="not positive definite") as first:
+        ws.b_solve(np.eye(2, dtype=complex))
+    with pytest.raises(IndefiniteCovarianceError) as again:
+        ws.m_zl
+    assert again.value is first.value is ws._b_error
+
+
+def test_estimates_never_call_the_thread_waking_wrappers(monkeypatch):
+    """OpenBLAS's trtrs, behind scipy's solve_triangular, wakes the BLAS
+    worker threads on every call.  Every target runs with that wrapper,
+    the Cholesky wrappers and numpy's QR made to raise, wherever a module
+    of the package or their own packages holds them."""
+    import sys
+
+    import scipy.linalg
+
+    from apndoa import TARGETS, apn_estimate
+
+    banned = {
+        "solve_triangular": scipy.linalg.solve_triangular,
+        "cho_factor": scipy.linalg.cho_factor,
+        "cho_solve": scipy.linalg.cho_solve,
+        "qr": np.linalg.qr,
+    }
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+        return call
+
+    g = ArrayGeometry.ula(11)
+    theta = np.array([-0.2513, 0.1571, 1.005])
+    model = StochasticModel(np.diag([1.0, 0.64, 0.25]))
+    z = synthesize(g, theta, model, np.full(11, 10.0), 100, stream_rng(3))
+    patched = 0
+    homes = ("apndoa", "scipy.linalg._", "numpy.linalg._")  # not scipy's deprecated shims
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if not (name in ("scipy.linalg", "numpy.linalg") or name.startswith(homes)):
+            continue
+        for attr, fn in banned.items():
+            if getattr(module, attr, None) is fn:
+                monkeypatch.setattr(module, attr, refuse(attr))
+                patched += 1
+    assert patched >= 2 * len(banned)  # each in its package and its home module
+    for target in TARGETS:
+        res = apn_estimate(z, g, 3, target=target)
+        assert np.all(np.isfinite(res.theta))
