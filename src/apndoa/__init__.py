@@ -67,7 +67,6 @@ from .flops import (
     line_search_flops,
     noise_init_flops,
     pipeline_flop_estimate,
-    total_flop_estimate,
 )
 from .montecarlo import (
     ESTIMATORS,

@@ -47,7 +47,10 @@ def thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     qr, tau, _, info = _zgeqrf(a)
     _check(info, "zgeqrf")
-    r = np.triu(qr[: a.shape[1]])
+    k = a.shape[1]
+    r = qr[:k].copy()                 # C-ordered, as np.triu returns it
+    for i in range(1, k):
+        r[i, :i] = 0.0
     q, _, info = _zungqr(qr, tau, overwrite_a=1)
     _check(info, "zungqr")
     return np.ascontiguousarray(q), r

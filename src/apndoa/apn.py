@@ -216,7 +216,7 @@ def init_noise(r_z: SampleCovariance, projection: np.ndarray) -> np.ndarray:
     """
     rz = r_z.matrix
     diag_r = np.real(np.diagonal(rz))
-    if np.any(diag_r <= 0):
+    if (diag_r <= 0).any():
         raise ValueError("sample covariance has a nonpositive diagonal entry")
     b = np.eye(rz.shape[0]) - projection
     diag_b = np.real(np.diagonal(b))

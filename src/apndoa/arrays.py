@@ -50,9 +50,9 @@ class ArrayGeometry:
         p = np.asarray(self.positions, dtype=float).ravel()
         if p.size < 2:
             raise ValueError("an array needs at least two sensors")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise ValueError("sensor positions must be finite")
-        if np.any(np.diff(p) <= 0):
+        if (np.diff(p) <= 0).any():
             raise ValueError("sensor positions must be strictly increasing")
         object.__setattr__(self, "positions", p)
 
@@ -97,7 +97,7 @@ class SteeringSet:
 
 
 def _check_angles(theta, m_sensors=None) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
+    t = np.asarray(theta, dtype=float).ravel()
     if t.size < 1:
         raise ValueError("at least one angle is required")
     # valid angles, sorted, strictly increase inside (-pi/2, pi/2); NaN
@@ -105,9 +105,9 @@ def _check_angles(theta, m_sensors=None) -> np.ndarray:
     # name the rule that broke.
     s = np.sort(t)
     if not (-_HALF_PI < s[0] and s[-1] < _HALF_PI and (s[1:] > s[:-1]).all()):
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise ValueError("angles must be finite")
-        if np.any(np.abs(t) >= _HALF_PI):
+        if (np.abs(t) >= _HALF_PI).any():
             raise ValueError("angles must lie strictly inside (-pi/2, pi/2)")
         raise ValueError("angles must be pairwise distinct")
     if m_sensors is not None and t.size > m_sensors:
@@ -139,13 +139,13 @@ def steering_set(geometry: ArrayGeometry, theta) -> SteeringSet:
         ``phi``, ``d1``, ``d2`` of shape (M, K).
     """
     t = _check_angles(theta, geometry.m)
-    p = geometry.positions[:, None]
-    s, c = np.sin(t)[None, :], np.cos(t)[None, :]
-    phi = np.exp(1j * np.pi * p * s)
+    jpp = 1j * np.pi * geometry.positions[:, None]
+    u = jpp * np.sin(t)
+    phi = np.exp(u)
     # d/dt exp(j*pi*p*sin t) = (j*pi*p*cos t) * phi
-    a = 1j * np.pi * p * c
+    a = jpp * np.cos(t)
     d1 = a * phi
-    d2 = (a * a - 1j * np.pi * p * s) * phi
+    d2 = (a * a - u) * phi
     return SteeringSet(theta=t, phi=phi, d1=d1, d2=d2)
 
 
@@ -243,7 +243,7 @@ def scale_for_snr(geometry, theta, model, trend, snr_db: float) -> np.ndarray:
     trend = np.asarray(trend, dtype=float).ravel()
     if trend.size != geometry.m:
         raise ValueError("trend length must match the sensor count")
-    if np.any(trend <= 0) or not np.all(np.isfinite(trend)):
+    if (trend <= 0).any() or not np.isfinite(trend).all():
         raise ValueError("trend entries must be positive and finite")
     sset = steering_set(geometry, theta)
     rs = model.covariance()
@@ -259,9 +259,11 @@ def scale_for_snr(geometry, theta, model, trend, snr_db: float) -> np.ndarray:
 
 def _check_noise(lam, m: int) -> np.ndarray:
     lam = np.asarray(lam, dtype=float).ravel()
-    if lam.size != m:
-        raise ValueError("noise profile length must match the sensor count")
-    if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
+    # one test passes valid input (NaN fails both bounds); only a failure
+    # looks further, to name the rule that broke
+    if not (lam.size == m and 0.0 < lam.min() and lam.max() < np.inf):
+        if lam.size != m:
+            raise ValueError("noise profile length must match the sensor count")
         raise ValueError("noise parameters must be positive and finite")
     return lam
 

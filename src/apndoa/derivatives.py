@@ -34,27 +34,26 @@ Stochastic correction ``L_C = -N log|C|``:
                         - 2 (R P_z) o (I - 2 R P_z)^T } L^-1
 
 ``o`` is the Hadamard product, ``L = diag(lambda)``, and ``N`` the
-snapshot count.  ``diag{AB}`` is always evaluated as row sums of
-``A o B^T``; diagonal scalings are applied as row/column scalings; real
-parts of Hadamard products are formed from real and imaginary parts
-directly, which is bit-identical to taking the real part afterwards.
+snapshot count.
 
-The relative signs (s1, s2, s3) of the mixed stochastic block were
-fixed numerically against mixed second differences of the stochastic
-correction on batches of random instances; see ``_CTL_SIGNS`` below.
-
-The stochastic cost is the exact sum L_S = L_D + L_C, so the S-blocks
-are assembled as elementwise sums of the D- and C-blocks.
+All of them are evaluated by one straight-line function, :func:`_kernel`,
+from the workspace's thin QR factors, its whitened covariance and the
+steering derivatives.  Each shared product is a local formed once.  A
+block's ``Re{a o b^T}`` summands, over the D and C pieces the selected
+cost needs, are added in complex arithmetic and the real part is taken
+once; the symmetrisation and the ``L^-1`` scaling are applied once per
+block.  The stochastic cost is the exact sum ``L_S = L_D + L_C``, so its
+gradient is the sum of the D and C gradients; its Hessian blocks add the
+D and C summands before the real part is taken.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+from ._lapack import cho_solve, solve_upper
 from .workspace import WhitenedWorkspace
 
 __all__ = [
@@ -74,169 +73,190 @@ __all__ = [
     "FdCheckReport",
 ]
 
-# Relative signs of the three summands of the mixed stochastic
-# Hessian block H_Ctl.  Fixed by an 8-way fit against mixed second
-# central differences of cost_lc on random instances; the winning
-# combination matched to ~1e-9 relative while every other one was off
-# by O(1).
-_CTL_SIGNS = (1.0, -1.0, -1.0)
+
+def _h(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return x.conj().mT
 
 
-def _diag_prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """diag(a @ b) as row sums of a o b^T, without the full product."""
-    return np.einsum("ij,ji->i", a, b)
+def _rdiag(x: np.ndarray) -> np.ndarray:
+    """Real part of the diagonal over the last two axes."""
+    return x.diagonal(0, -2, -1).real
 
 
-def _re_hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re{a o b} assembled from real and imaginary parts."""
-    return a.real * b.real - a.imag * b.imag
+def _sym(x: np.ndarray, scale: float) -> np.ndarray:
+    """``scale`` times the symmetric part over the last two axes (guards
+    the last-ulp asymmetry left by the factored products)."""
+    return (0.5 * scale) * (x + x.mT)
 
 
-def _sym(x: np.ndarray) -> np.ndarray:
-    """Symmetrize a square block (guards the last-ulp asymmetry left by
-    the factored products)."""
-    return 0.5 * (x + x.T)
+def _combine(which: str, d, c):
+    """The selected cost's piece: D, C, or their sum for S."""
+    if which == "D":
+        return d
+    if which == "C":
+        return c
+    return d + c
 
 
-class _Products:
-    """Lazily cached matrix products shared by the gradient and Hessian
-    blocks at one workspace point.
+def _kernel(ws: WhitenedWorkspace, which: str, reduced: bool, block: str | None):
+    """Gradient and Hessian of the selected cost at the workspace point.
 
-    The workspace holds its products (see :func:`_products`) and they
-    refer back to it weakly, so the pair forms no reference cycle and is
-    freed as soon as the workspace is dropped.
+    ``which`` is 'D', 'C' or 'S'; ``reduced`` keeps the dominant Hessian
+    summands only; ``block`` is ``None`` for the assembled (K+M) result,
+    or 'theta'/'lam' for that block's gradient and diagonal Hessian
+    block, and then forms only that block's factors.  Matrix products
+    broadcast over leading axes; the two solves (``R^-1``, ``B^-1``) are
+    the only 2-D calls.
+
+    The blocks of the module docstring are rewritten through the thin
+    factors.  With ``f0 = Q^H R (I-P) D``, ``bf0 = B^-1 f0`` and
+    ``Q^H R (I-P) = Q^H R - B Q^H``: ``pinv R (I-P) D = R^-1 f0``,
+    ``G = R^-1 bf0``, ``M_zl Phi^H R D = G + pinv D``,
+    ``D^H (I - R P_z) R (I-P) D = D^H (I-P) R (I-P) D - f0^H bf0``,
+    ``R (I - P_z R) D = R (I-P) D - R Q bf0`` and
+    ``conj(D^H (I - R P_z)) = ((I-P) D - Q bf0)^T``.  Under ``Re``,
+    ``a o b^T`` may be replaced by ``conj(a) o conj(b)^T``, and, in a
+    block that is symmetrised, by ``b o a^T``; so the theta-theta pairs
+    ``x o y^T + y o x^T`` are formed once and doubled, and every mixed
+    summand takes the form ``(K x M) o (M x K)^T``.  The identity
+    Hadamard terms of the lambda-lambda blocks reduce to diagonals: for
+    the full D block ``Re{(4P - I) o F^T} - I = Re{4 P o F^T}
+    + diag(-diag F - 1)`` with ``F = (I-P) R (I-P)``.
+
+    Signs of the mixed stochastic block.  ``H_Ctl[k, m]`` is the
+    derivative in ``lambda_m`` of ``g_Ctheta = -2N Re diag X`` with
+    ``X = M_zl Phi^H R (I-P) D``.  Scaling ``lambda_m`` by ``1 + e``
+    maps ``Phi -> (I + eE) Phi``, ``D -> (I + eE) D`` and
+    ``R -> (I + eE) R (I + eE)``, ``E = e_m e_m^T``, so
+    ``dP = (I-P) E P + P E (I-P)`` and
+    ``dM_zl = -2 M_zl Phi^H (E R + R E) Phi M_zl``.  Each term of ``dX``
+    is ``a E b``, whose diagonal entry k is ``a_km b_mk``, the (k, m)
+    entry of ``a o b^T``.  With ``M_zl Phi^H R Phi = I`` and
+    ``M_zl Phi^H R P = pinv``, the six terms of ``Re diag dX`` collapse
+    to ``2 Re{(M_zl Phi^H) o (R(I - P_z R)D)^T
+    + (D^H(I - R P_z)) o (R Phi M_zl)^T - (D^H(I-P)) o pinv^*}``, which
+    gives ``H_Ctl`` the signs (+1, -1, -1) of the module docstring.
+    They match mixed central differences of ``cost_lc``; ``apndoa
+    verify`` and acceptance criterion 1 check them.
     """
+    want_d, want_c = which != "C", which != "D"
+    want_t, want_l = block != "lam", block != "theta"
+    n2 = 2.0 * ws.n_snapshots
+    q, qh, qh_r, b, r = ws.q_factor, ws.qh, ws.qh_r, ws.b, ws.r_zl
+    lam = ws.lam
+    inv_lam = 1.0 / lam
+    k, m = q.shape[-1], q.shape[-2]
+    gd = gc = gld = glc = None
+    if want_c:
+        binv = cho_solve(ws._require_spd(), np.eye(k, dtype=complex))   # B^-1
 
-    def __init__(self, ws: WhitenedWorkspace):
-        self.ws = weakref.proxy(ws)
+    if want_t:
+        rinv = solve_upper(ws.r_factor, np.eye(k, dtype=complex))
+        rih = _h(rinv)
+        d1 = lam[..., :, None] * ws.steering.d1
+        qhd = qh @ d1
+        dp = d1 - q @ qhd                       # (I-P) D
+        f0 = qh_r @ dp
+        fd = rinv @ f0                          # pinv R (I-P) D
+        did = _h(dp) @ dp                       # D^H (I-P) D
+        if want_d:
+            gd = n2 * _rdiag(fd)
+            prp = (rinv @ b) @ rih              # pinv R pinv^H
+        if want_c:
+            bf0 = binv @ f0
+            g = rinv @ bf0                      # G
+            gc = -n2 * _rdiag(g)
+        if reduced:
+            w = -prp if want_d else 0.0
+            acc = (w + rinv @ rih if want_c else w) * did.mT
+        else:
+            minv = rinv @ rih                   # M
+            pd = rinv @ qhd                     # pinv D
+            rdp = r @ dp                        # R (I-P) D
+            dirid = _h(dp) @ rdp                # D^H (I-P) R (I-P) D
+            qrp = qh_r - b @ qh                 # Q^H R (I-P)
+            e = qrp @ (lam[..., :, None] * ws.steering.d2)
+            acc = 0.0
+            if want_d:
+                acc = minv * dirid.mT - prp * did.mT - 2.0 * fd * pd.mT
+            if want_c:
+                rb = rinv @ binv
+                s4 = dirid - _h(f0) @ bf0
+                acc = acc + minv * did.mT - (rb @ rih) * s4.mT + (2.0 * pd + g) * g.mT
+                e = e - binv @ e if want_d else -(binv @ e)
+            # I o (R^-1 e)^T: + pinv R (I-P) D2 for D, - M_zl Phi^H R (I-P) D2 for C
+            np.einsum("...ii->...i", acc)[...] += np.einsum("...ij,...ji->...i", rinv, e)
+        h_tt = _sym(acc.real, n2)
 
-    # -- deterministic-path pieces --------------------------------------
+    if block is None:
+        pinv = rinv @ qh
+        if reduced:
+            acc = pinv * dp.mT if want_c else np.zeros(pinv.shape)
+        else:
+            v = 0.0
+            acc = 0.0
+            if want_d:
+                v = rinv @ qrp                  # pinv R (I-P)
+                acc = pinv * (rdp - q @ f0).mT
+            if want_c:
+                v = v + pinv
+                acc = (
+                    acc
+                    - (rb @ qh) * (rdp - _h(qh_r) @ bf0).mT
+                    - (rb @ qh_r) * (dp - q @ bf0).mT
+                )
+            acc = acc + v * dp.mT
+        h_tl = (2.0 * n2) * acc.real * inv_lam[..., None, :]
 
-    @cached_property
-    def qh_r(self) -> np.ndarray:            # Q^H R, K x M
-        return self.ws.q_factor.conj().T @ self.ws.r_zl
+    if want_l:
+        n2_lam = n2 * inv_lam
+        p = q @ qh                              # P
+        diag_p = _rdiag(p)
+        x = 0.0
+        dvec = 0.0
+        if want_d:
+            ipr = r - q @ qh_r                  # (I-P) R
+            iri = ipr - ipr @ p                 # (I-P) R (I-P)
+            ud = 1.0 - _rdiag(iri)
+            gld = n2_lam * ud
+            x = -4.0 * p if reduced else 4.0 * iri
+            dvec = 5.0 * diag_p - 2.0 if reduced else ud - 2.0
+        if want_c:
+            bq = binv @ qh
+            rpz = _h(qh_r) @ bq                 # R P_z
+            uc = diag_p - 2.0 * _rdiag(rpz)
+            glc = n2_lam * uc
+            x = x - 2.0 * p
+            dvec = dvec + uc
+        acc = p * x.mT
+        if want_c:
+            y = rpz * rpz.mT
+            if not reduced:
+                y = y - (r - rpz @ r) * (q @ bq).mT
+            acc = acc + 4.0 * y
+        core = acc.real
+        np.einsum("...ii->...i", core)[...] += dvec
+        h_ll = _sym(core * (inv_lam[..., :, None] * inv_lam[..., None, :]), n2)
 
-    @cached_property
-    def d_perp(self) -> np.ndarray:          # (I-P) D, M x K
-        return self.ws.perp(self.ws.d1)
-
-    @cached_property
-    def d2_perp(self) -> np.ndarray:         # (I-P) D2, M x K
-        return self.ws.perp(self.ws.d2)
-
-    @cached_property
-    def r_dperp(self) -> np.ndarray:         # R (I-P) D, M x K
-        return self.ws.r_zl @ self.d_perp
-
-    @cached_property
-    def pd(self) -> np.ndarray:              # pinv D, K x K
-        return self.ws.pinv @ self.ws.d1
-
-    @cached_property
-    def fd(self) -> np.ndarray:              # pinv R (I-P) D, K x K
-        return self.ws.pinv @ self.r_dperp
-
-    @cached_property
-    def prp(self) -> np.ndarray:             # pinv R pinv^H = rinv B rinv^H
-        return (self.ws.rinv @ self.ws.b) @ self.ws.rinv.conj().T
-
-    @cached_property
-    def did(self) -> np.ndarray:             # D^H (I-P) D, K x K
-        return self.d_perp.conj().T @ self.d_perp
-
-    @cached_property
-    def dirid(self) -> np.ndarray:           # D^H (I-P) R (I-P) D, K x K
-        return self.d_perp.conj().T @ self.r_dperp
-
-    @cached_property
-    def ip_r(self) -> np.ndarray:            # (I-P) R, M x M
-        return self.ws.r_zl - self.ws.q_factor @ self.qh_r
-
-    @cached_property
-    def iri(self) -> np.ndarray:             # (I-P) R (I-P), M x M
-        return self.ws.perp_rows(self.ip_r)
-
-    @cached_property
-    def diag_iri(self) -> np.ndarray:        # real diag of the above
-        q = self.ws.q_factor
-        d_pr = _diag_prod(q, self.qh_r)                       # diag(P R)
-        qb = q @ self.ws.b
-        d_prp = np.einsum("ij,ij->i", qb, q.conj())           # diag(P R P)
-        return (
-            np.real(np.diagonal(self.ws.r_zl))
-            - 2.0 * d_pr.real
-            + d_prp.real
-        )
-
-    @cached_property
-    def p_dense(self) -> np.ndarray:         # Q Q^H, M x M
-        return self.ws.projector()
-
-    @cached_property
-    def fri(self) -> np.ndarray:             # pinv R (I-P), K x M
-        return self.ws.perp_rows(self.ws.rinv @ self.qh_r)
-
-    @cached_property
-    def diri(self) -> np.ndarray:            # D^H (I-P) R (I-P), K x M
-        return self.ws.perp_rows(self.r_dperp.conj().T)
-
-    # -- stochastic-path pieces ------------------------------------------
-
-    @cached_property
-    def binv_qh(self) -> np.ndarray:         # B^-1 Q^H, K x M
-        return self.ws.b_solve(self.ws.q_factor.conj().T)
-
-    @cached_property
-    def mzphir(self) -> np.ndarray:          # M_zl Phi^H R = rinv B^-1 Q^H R
-        return self.ws.rinv @ self.ws.b_solve(self.qh_r)
-
-    @cached_property
-    def mzphih(self) -> np.ndarray:          # M_zl Phi^H = rinv B^-1 Q^H
-        return self.ws.rinv @ self.binv_qh
-
-    @cached_property
-    def rq(self) -> np.ndarray:              # R Q, M x K
-        return self.ws.r_zl @ self.ws.q_factor
-
-    @cached_property
-    def rd(self) -> np.ndarray:              # R D, M x K
-        return self.ws.r_zl @ self.ws.d1
-
-    @cached_property
-    def qrd(self) -> np.ndarray:             # Q^H R D, K x K
-        return self.qh_r @ self.ws.d1
-
-    @cached_property
-    def gfd(self) -> np.ndarray:             # M_zl Phi^H R (I-P) D, K x K
-        return self.mzphir @ self.d_perp
-
-    @cached_property
-    def rpz(self) -> np.ndarray:             # R P_z = R Q B^-1 Q^H, M x M
-        return self.rq @ self.binv_qh
-
-    @cached_property
-    def pz_dense(self) -> np.ndarray:        # P_z = Q B^-1 Q^H, M x M
-        return self.ws.q_factor @ self.binv_qh
-
-    @cached_property
-    def diag_rpz(self) -> np.ndarray:
-        return _diag_prod(self.rq, self.binv_qh)
-
-
-def _products(ws: WhitenedWorkspace) -> _Products:
-    """The products at the workspace's point, shared by every gradient and
-    Hessian call there (the uniform gradient and Hessian of one stage-1
-    iteration, the two block calls of one alternating step)."""
-    if ws._products is None:
-        ws._products = _Products(ws)
-    return ws._products
+    if block == "theta":
+        return _combine(which, gd, gc), h_tt
+    if block == "lam":
+        return _combine(which, gld, glc), h_ll
+    g_all = np.concatenate([_combine(which, gd, gc), _combine(which, gld, glc)], axis=-1)
+    h_all = np.empty(g_all.shape + (k + m,))
+    h_all[..., :k, :k] = h_tt
+    h_all[..., :k, k:] = h_tl
+    h_all[..., k:, :k] = h_tl.mT
+    h_all[..., k:, k:] = h_ll
+    return g_all, h_all
 
 
 @dataclass(frozen=True)
 class GradientBlocks:
     """Gradient blocks; a piece is ``None`` when it was not evaluated
     (the stochastic pieces for which='D', the deterministic ones for
-    which='C', the other parameter block for a single-block request)."""
+    which='C')."""
 
     d_theta: np.ndarray | None = None
     d_lam: np.ndarray | None = None
@@ -247,8 +267,7 @@ class GradientBlocks:
 @dataclass(frozen=True)
 class HessianBlocks:
     """Hessian blocks; a piece is ``None`` when it was not evaluated, as
-    for :class:`GradientBlocks` (a single-block request also skips the
-    mixed blocks).
+    for :class:`GradientBlocks`.
 
     ``d_tl``/``c_tl`` are K x M (theta rows, lambda columns); assembled
     matrices place the transpose in the lower-left block.
@@ -268,133 +287,21 @@ def _check_which(which: str) -> str:
     return which
 
 
-def _grad_blocks(pr: _Products, which: str, block: str | None = None) -> GradientBlocks:
-    ws = pr.ws
-    n2 = 2.0 * ws.n_snapshots
-    inv_lam = 1.0 / ws.lam
-    want_t, want_l = block != "lam", block != "theta"
-
-    d_theta = d_lam = c_theta = c_lam = None
-    if which in ("D", "S"):
-        if want_t:
-            d_theta = n2 * _diag_prod(ws.pinv, pr.r_dperp).real
-        if want_l:
-            d_lam = n2 * inv_lam * (1.0 - pr.diag_iri)
-    if which in ("C", "S"):
-        if want_t:
-            c_theta = -n2 * _diag_prod(pr.mzphir, pr.d_perp).real
-        if want_l:
-            diag_p = np.einsum("ij,ij->i", ws.q_factor, ws.q_factor.conj()).real
-            c_lam = n2 * inv_lam * (diag_p - 2.0 * pr.diag_rpz.real)
-    return GradientBlocks(d_theta=d_theta, d_lam=d_lam, c_theta=c_theta, c_lam=c_lam)
-
-
-def _hess_blocks(
-    pr: _Products, which: str, reduced: bool, block: str | None = None
-) -> HessianBlocks:
-    ws = pr.ws
-    n2 = 2.0 * ws.n_snapshots
-    inv_lam = 1.0 / ws.lam
-    eye_m = np.eye(ws.m)
-    want_t, want_l, want_tl = block != "lam", block != "theta", block is None
-
-    d_tt = d_tl = d_ll = c_tt = c_tl = c_ll = None
-
-    if which in ("D", "S"):
-        if reduced:
-            if want_t:
-                d_tt = n2 * _sym(-_re_hadamard(pr.prp, pr.did.T))
-            if want_tl:
-                d_tl = np.zeros((ws.k, ws.m))
-            if want_l:
-                core = _re_hadamard(
-                    4.0 * pr.p_dense - eye_m, (eye_m - pr.p_dense).T
-                ) - eye_m
-        else:
-            if want_t:
-                d_tt = n2 * _sym(
-                    _re_hadamard(ws.minv, pr.dirid.T)
-                    - _re_hadamard(pr.pd, pr.fd.T)
-                    - _re_hadamard(pr.fd, pr.pd.T)
-                    - _re_hadamard(pr.prp, pr.did.T)
-                    + np.diag(_diag_prod(ws.pinv, ws.r_zl @ pr.d2_perp).real)
-                )
-            if want_tl:
-                d_tl = (
-                    2.0
-                    * n2
-                    * (
-                        _re_hadamard(pr.fri, pr.d_perp.T)
-                        + _re_hadamard(pr.diri, ws.pinv.conj())
-                    )
-                    * inv_lam[None, :]
-                )
-            if want_l:
-                core = _re_hadamard(4.0 * pr.p_dense - eye_m, pr.iri.T) - eye_m
-        if want_l:
-            d_ll = n2 * _sym(inv_lam[:, None] * core * inv_lam[None, :])
-
-    if which in ("C", "S"):
-        s1, s2, s3 = _CTL_SIGNS
-        if reduced:
-            if want_t:
-                c_tt = n2 * _sym(_re_hadamard(ws.minv, pr.did.T))
-            if want_tl:
-                c_tl = (
-                    2.0
-                    * n2
-                    * s1
-                    * _re_hadamard(pr.d_perp.conj().T, ws.pinv.conj())
-                    * inv_lam[None, :]
-                )
-            if want_l:
-                core = _re_hadamard(
-                    eye_m - 2.0 * pr.p_dense, pr.p_dense.T
-                ) - 2.0 * _re_hadamard(pr.rpz, (eye_m - 2.0 * pr.rpz).T)
-        else:
-            if want_t:
-                s4 = pr.rd.conj().T @ pr.d_perp - pr.qrd.conj().T @ ws.b_solve(
-                    ws.q_factor.conj().T @ pr.r_dperp
-                )
-                c_tt = n2 * _sym(
-                    _re_hadamard(pr.gfd, pr.pd.T)
-                    + _re_hadamard(ws.minv, pr.did.T)
-                    - np.diag(_diag_prod(pr.mzphir, pr.d2_perp).real)
-                    - _re_hadamard(ws.m_zl, s4.T)
-                    + _re_hadamard(pr.mzphir @ ws.d1, pr.gfd.T)
-                )
-            if want_tl:
-                t2 = pr.rd - pr.rq @ ws.b_solve(pr.qrd)
-                t3 = ws.d1.conj().T - pr.qrd.conj().T @ pr.binv_qh
-                rpm = pr.rq @ ws.b_solve(ws.rinv.conj().T)
-                c_tl = (
-                    2.0
-                    * n2
-                    * (
-                        s1 * _re_hadamard(pr.d_perp.conj().T, ws.pinv.conj())
-                        + s2 * _re_hadamard(pr.mzphih, t2.T)
-                        + s3 * _re_hadamard(t3, rpm.T)
-                    )
-                    * inv_lam[None, :]
-                )
-            if want_l:
-                ripzr = ws.r_zl - pr.rpz @ ws.r_zl
-                core = (
-                    _re_hadamard(eye_m - 2.0 * pr.p_dense, pr.p_dense.T)
-                    - 4.0 * _re_hadamard(ripzr, pr.pz_dense.T)
-                    - 2.0 * _re_hadamard(pr.rpz, (eye_m - 2.0 * pr.rpz).T)
-                )
-        if want_l:
-            c_ll = n2 * _sym(inv_lam[:, None] * core * inv_lam[None, :])
-
-    return HessianBlocks(
-        d_tt=d_tt, d_tl=d_tl, d_ll=d_ll, c_tt=c_tt, c_tl=c_tl, c_ll=c_ll
-    )
+def _split(ws: WhitenedWorkspace, part: str, wanted: bool, reduced: bool = False):
+    """(g_theta, g_lam, h_tt, h_tl, h_ll) of one cost piece, or Nones."""
+    if not wanted:
+        return (None,) * 5
+    g, h = _kernel(ws, part, reduced, None)
+    k = ws.k
+    return g[:k], g[k:], h[:k, :k], h[:k, k:], h[k:, k:]
 
 
 def gradient_blocks(ws: WhitenedWorkspace, which: str = "S") -> GradientBlocks:
     """Gradient blocks of the selected concentrated cost at the workspace point."""
-    return _grad_blocks(_products(ws), _check_which(which))
+    which = _check_which(which)
+    d = _split(ws, "D", which != "C")
+    c = _split(ws, "C", which != "D")
+    return GradientBlocks(d_theta=d[0], d_lam=d[1], c_theta=c[0], c_lam=c[1])
 
 
 def hessian_blocks(
@@ -402,50 +309,22 @@ def hessian_blocks(
 ) -> HessianBlocks:
     """Hessian blocks of the selected cost; ``reduced=True`` keeps only the
     summands that dominate near convergence at high SNR."""
-    return _hess_blocks(_products(ws), _check_which(which), reduced)
-
-
-def _combine(which: str, d, c):
-    """The selected cost's piece: D, C, or their sum for S."""
-    if which == "D":
-        return d
-    if which == "C":
-        return c
-    return d + c
-
-
-def _assemble_grad(blocks: GradientBlocks, which: str) -> np.ndarray:
-    return np.concatenate([
-        _combine(which, blocks.d_theta, blocks.c_theta),
-        _combine(which, blocks.d_lam, blocks.c_lam),
-    ])
-
-
-def _assemble_hess(blocks: HessianBlocks, which: str) -> np.ndarray:
-    tt = _combine(which, blocks.d_tt, blocks.c_tt)
-    tl = _combine(which, blocks.d_tl, blocks.c_tl)
-    ll = _combine(which, blocks.d_ll, blocks.c_ll)
-    k, m = tl.shape
-    h = np.empty((k + m, k + m))
-    h[:k, :k] = tt
-    h[:k, k:] = tl
-    h[k:, :k] = tl.T
-    h[k:, k:] = ll
-    return h
+    which = _check_which(which)
+    d = _split(ws, "D", which != "C", reduced)
+    c = _split(ws, "C", which != "D", reduced)
+    return HessianBlocks(d_tt=d[2], d_tl=d[3], d_ll=d[4], c_tt=c[2], c_tl=c[3], c_ll=c[4])
 
 
 def gradient(ws: WhitenedWorkspace, which: str = "S") -> np.ndarray:
     """Assembled gradient [d/dtheta; d/dlambda] of the selected cost."""
-    which = _check_which(which)
-    return _assemble_grad(gradient_blocks(ws, which), which)
+    return grad_hess(ws, which)[0]
 
 
 def hessian(
     ws: WhitenedWorkspace, which: str = "S", reduced: bool = False
 ) -> np.ndarray:
     """Assembled symmetric (K+M) x (K+M) Hessian of the selected cost."""
-    which = _check_which(which)
-    return _assemble_hess(hessian_blocks(ws, which, reduced), which)
+    return grad_hess(ws, which, reduced)[1]
 
 
 def grad_hess(
@@ -454,7 +333,7 @@ def grad_hess(
     reduced: bool = False,
     block: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian together, sharing the intermediate products.
+    """Gradient and Hessian together, from one pass over the shared factors.
 
     ``block='theta'`` or ``'lam'`` evaluates only that parameter block:
     the gradient over it and its diagonal Hessian block, equal entry for
@@ -464,22 +343,24 @@ def grad_hess(
     which = _check_which(which)
     if block not in (None, "theta", "lam"):
         raise ValueError("block must be None, 'theta' or 'lam'")
-    pr = _products(ws)
-    gb = _grad_blocks(pr, which, block)
-    hb = _hess_blocks(pr, which, reduced, block)
-    if block == "theta":
-        return _combine(which, gb.d_theta, gb.c_theta), _combine(which, hb.d_tt, hb.c_tt)
-    if block == "lam":
-        return _combine(which, gb.d_lam, gb.c_lam), _combine(which, hb.d_ll, hb.c_ll)
-    return _assemble_grad(gb, which), _assemble_hess(hb, which)
+    return _kernel(ws, which, reduced, block)
+
+
+def _uniform(ws: WhitenedWorkspace) -> tuple:
+    """The uniform-noise gradient and approximate Hessian, from one kernel
+    pass per workspace (stage 1 asks for both at each point).  With
+    lambda = 1 they are the theta block of the reduced deterministic
+    cost."""
+    if ws._uniform is None:
+        ws._uniform = _kernel(ws, "D", True, "theta")
+    return ws._uniform
 
 
 def grad_dml_uniform(ws: WhitenedWorkspace) -> np.ndarray:
     """Gradient of the uniform-noise deterministic cost over theta."""
-    if np.any(ws.lam != 1.0):
+    if (ws.lam != 1.0).any():
         raise ValueError("uniform gradient requires a workspace with lambda == 1")
-    pr = _products(ws)
-    return 2.0 * ws.n_snapshots * _diag_prod(ws.pinv, pr.r_dperp).real
+    return _uniform(ws)[0]
 
 
 def hess_dml_uniform(ws: WhitenedWorkspace, exact: bool = False) -> np.ndarray:
@@ -490,13 +371,11 @@ def hess_dml_uniform(ws: WhitenedWorkspace, exact: bool = False) -> np.ndarray:
     positive-semidefinite factors, so Newton steps built from it always
     ascend); ``exact=True`` evaluates all five summands.
     """
-    if np.any(ws.lam != 1.0):
+    if (ws.lam != 1.0).any():
         raise ValueError("uniform Hessian requires a workspace with lambda == 1")
-    pr = _products(ws)
     if exact:
-        return _hess_blocks(pr, "D", reduced=False, block="theta").d_tt
-    n2 = 2.0 * ws.n_snapshots
-    return n2 * _sym(-_re_hadamard(pr.prp, pr.did.T))
+        return _kernel(ws, "D", False, "theta")[1]
+    return _uniform(ws)[1]
 
 
 # ---------------------------------------------------------------------------

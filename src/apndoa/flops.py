@@ -19,7 +19,6 @@ __all__ = [
     "covariance_flops",
     "noise_init_flops",
     "pipeline_flop_estimate",
-    "total_flop_estimate",
 ]
 
 # real flops charged per complex multiply-add throughout the model
@@ -130,19 +129,26 @@ def pipeline_flop_estimate(
     stage3,
     target: str,
     n_snapshots: int | None = None,
+    evaluations_only: bool = False,
 ) -> float:
     """Total work estimate for one pipeline run from its iteration counts.
 
     Stage-1 insertions are charged the line-search model plus the
     uniform-noise evaluations (deterministic-cost polynomials at the
-    current source count); the joint or alternating stage is charged one
-    with-derivatives evaluation per gradient call and one plain
-    evaluation per extra backtracking cost call, plus the stage-2 noise
-    fit (:func:`noise_init_flops`).  The reduced-Hessian target is
-    charged the full polynomial, making its estimate a mild upper bound.
+    current source count, a mild upper bound); the joint or alternating
+    stage is charged one with-derivatives evaluation per gradient call
+    and one plain evaluation per extra backtracking cost call, plus the
+    stage-2 noise fit (:func:`noise_init_flops`).  The reduced-Hessian
+    target is charged the full polynomial, making its estimate a mild
+    upper bound.
+
+    ``evaluations_only=True`` charges the candidate scoring and the cost
+    and derivative evaluations alone: nothing for the sample covariance
+    or the noise fit, so a run with zero iterations and zero candidate
+    evaluations costs exactly zero.
     """
     total = 0.0
-    if n_snapshots:
+    if n_snapshots and not evaluations_only:
         total += covariance_flops(m, n_snapshots)
     for j, st in enumerate(stage1):
         kk = j + 1
@@ -153,32 +159,6 @@ def pipeline_flop_estimate(
         which = "D" if target.startswith("dml") else "S"
         total += stage3.grad_evals * eval_flops(m, k, which, derivatives=True)
         total += max(stage3.cost_evals - stage3.grad_evals, 0) * eval_flops(m, k, which)
-        total += noise_init_flops(m)
-    return total
-
-
-def total_flop_estimate(result, m: int, k: int) -> float:
-    """Work estimate for one run built purely from its evaluation counts.
-
-    Unlike :func:`pipeline_flop_estimate` this charges nothing for the
-    sample covariance or the noise initialization, so a result with zero
-    iterations and zero candidate evaluations costs exactly zero.  The
-    first stage charges the candidate-scoring model plus the
-    deterministic polynomials for its Newton refinements (uniform noise
-    makes those a mild upper bound); the final stage charges one
-    with-derivatives evaluation per gradient call and one plain
-    evaluation per extra backtracking call.
-    """
-    total = 0.0
-    for j, st in enumerate(result.stage1):
-        kk = j + 1
-        total += line_search_flops(m, j, st.candidates)
-        total += st.grad_evals * eval_flops(m, kk, "D", derivatives=True)
-        total += max(st.cost_evals - st.grad_evals, 0) * eval_flops(m, kk, "D")
-    if result.stage3 is not None:
-        which = "D" if result.target.startswith("dml") else "S"
-        total += result.stage3.grad_evals * eval_flops(m, k, which, derivatives=True)
-        total += max(result.stage3.cost_evals - result.stage3.grad_evals, 0) * eval_flops(
-            m, k, which
-        )
+        if not evaluations_only:
+            total += noise_init_flops(m)
     return total

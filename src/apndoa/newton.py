@@ -110,17 +110,19 @@ def modified_cholesky(h: np.ndarray, scale: float = 1e-8):
     gradient ascent along them.
     """
     h = np.asarray(h, dtype=float)
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ValueError("Hessian contains non-finite entries")
     a = -h
     factor = cholesky(a)
     if factor is not None:
         return factor, 0.0
-    diag = np.abs(np.diagonal(h))
-    tau = scale * max(diag.min(), 1e-300)
-    eye = np.eye(h.shape[0])
+    diag = a.diagonal().copy()
+    tau = scale * max(np.abs(diag).min(), 1e-300)
+    shifted = a.copy()
+    shifted_diag = np.einsum("ii->i", shifted)      # a writable view
     for _ in range(2000):
-        factor = cholesky(a + tau * eye)
+        shifted_diag[:] = diag + tau                # -h + tau I
+        factor = cholesky(shifted)
         if factor is not None:
             return factor, tau
         tau *= 2.0
@@ -183,7 +185,7 @@ def newton_maximize(
         if not pos.any():
             pos = None
     if pos is not None:
-        if np.any(x[pos] <= 0):
+        if (x[pos] <= 0).any():
             raise ValueError("positive-flagged coordinates must start positive")
         pos_max0 = float(x[pos].max())
         out.pos_max_trace.append(pos_max0)
@@ -197,7 +199,7 @@ def newton_maximize(
         out.n_grad_evals += 1
         factor, _ = modified_cholesky(h)
         g = np.asarray(g, dtype=float)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("gradient contains non-finite entries")
         step = cho_solve(factor, g)
 
@@ -216,7 +218,7 @@ def newton_maximize(
             if pos is not None:
                 # bound each step to a fixed factor per iteration,
                 # clamping only offenders
-                x_try[pos] = np.clip(x_try[pos], floor, ceil)
+                x_try[pos] = np.minimum(np.maximum(x_try[pos], floor), ceil)
             c_try = cost_fn(x_try)
             out.n_cost_evals += 1
             if np.isfinite(c_try) and c_try > c:

@@ -1,10 +1,10 @@
 """Whitened workspace and concentrated likelihood costs.
 
 Everything downstream (costs, gradients, Hessians) is evaluated on a
-``WhitenedWorkspace`` built once per (theta, lambda) point; the pieces
-only derivatives need are formed on first use.  The workspace keeps the
-thin QR factorization of the whitened steering matrix
-``Phi = diag(lambda) @ Phi_o`` and derives every projection and
+``WhitenedWorkspace`` built once per (theta, lambda) point; it holds what
+a cost needs, and the derivatives form their own factors from it.  The
+workspace keeps the thin QR factorization of the whitened steering
+matrix ``Phi = diag(lambda) @ Phi_o`` and derives every projection and
 pseudoinverse from it; the Gram matrix ``Phi^H Phi`` is never inverted
 explicitly.
 
@@ -22,7 +22,6 @@ Cost conventions (all three are *maximized*):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +68,7 @@ class SampleCovariance:
             raise ValueError("covariance must be square")
         if self.n_snapshots < 1:
             raise ValueError("snapshot count must be positive")
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise ValueError("covariance has non-finite (NaN or Inf) entries")
         scale = max(np.abs(r).max(), 1.0)
         if np.abs(r - r.conj().T).max() > 1e-12 * scale:
@@ -99,14 +98,16 @@ class WhitenedWorkspace:
     ``pinv = r_factor^-1 q_factor^H`` and the projector is applied as
     ``Q (Q^H A)`` without ever forming ``(Phi^H Phi)^-1`` directly.
 
-    The constructor fields are what a cost needs.  Everything else is
-    computed on first access and then cached: the whitened steering
-    derivatives ``d1``/``d2``, the factors ``rinv``, ``pinv`` and
-    ``minv`` that only derivatives use, and the stochastic-cost pieces
-    ``m_zl`` and ``logdet_c``.  Those last two (and ``p_z``) need the
-    compressed covariance ``b = Q^H R_zl Q`` to be positive definite and
-    raise :class:`IndefiniteCovarianceError` otherwise; the deterministic
-    cost path never touches them.
+    The fields are what a cost needs.  The derivatives of
+    :mod:`apndoa.derivatives` form their factors as locals of one
+    function per call; the properties ``rinv``, ``pinv``, ``minv``,
+    ``m_zl`` and ``p_z`` evaluate the same factors on each access, for
+    inspection and tests.  The Cholesky factor of the compressed
+    covariance ``b = Q^H R_zl Q`` is kept once made, since the
+    stochastic cost and its derivatives at one point both need it; it
+    exists only if ``b`` is positive definite, and ``m_zl``, ``p_z``,
+    ``logdet_c`` and ``b_solve`` raise :class:`IndefiniteCovarianceError`
+    otherwise.  The deterministic cost path never touches it.
     """
 
     steering: SteeringSet
@@ -117,12 +118,14 @@ class WhitenedWorkspace:
     q_factor: np.ndarray       # thin Q, M x K
     r_factor: np.ndarray       # upper-triangular R, K x K
     r_zl: np.ndarray           # whitened sample covariance Lambda R_z Lambda
+    qh: np.ndarray             # Q^H, K x M
+    qh_r: np.ndarray           # Q^H R_zl, K x M
     b: np.ndarray              # compressed covariance Q^H R_zl Q, K x K
     _b_chol: tuple | None = field(default=None, init=False, repr=False)
     _b_error: Exception | None = field(default=None, init=False, repr=False)
-    # the products every derivative call at this point shares, made on
-    # first use by apndoa.derivatives
-    _products: object | None = field(default=None, init=False, repr=False)
+    # the uniform-noise gradient and Hessian, which stage 1 asks for
+    # together; made by one pass of apndoa.derivatives on first use
+    _uniform: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -136,50 +139,27 @@ class WhitenedWorkspace:
     def theta(self) -> np.ndarray:
         return self.steering.theta
 
-    # -- lazily built factors ---------------------------------------------
+    # -- derivative factors, evaluated on access ---------------------------
 
-    @cached_property
-    def d1(self) -> np.ndarray:
-        """Whitened first derivatives Lambda dPhi_o, M x K."""
-        return self.lam[:, None] * self.steering.d1
-
-    @cached_property
-    def d2(self) -> np.ndarray:
-        """Whitened second derivatives, M x K."""
-        return self.lam[:, None] * self.steering.d2
-
-    @cached_property
+    @property
     def rinv(self) -> np.ndarray:
         """R^-1, K x K."""
         return solve_upper(self.r_factor, np.eye(self.k, dtype=complex))
 
-    @cached_property
+    @property
     def pinv(self) -> np.ndarray:
         """Phi^+ = R^-1 Q^H, K x M."""
-        return self.rinv @ self.q_factor.conj().T
+        return self.rinv @ self.qh
 
-    @cached_property
+    @property
     def minv(self) -> np.ndarray:
         """(Phi^H Phi)^-1 = R^-1 R^-H, K x K."""
-        return self.rinv @ self.rinv.conj().T
-
-    # -- projector helpers ------------------------------------------------
-
-    def project(self, a: np.ndarray) -> np.ndarray:
-        """P @ a through the thin factor, P = Q Q^H."""
-        return self.q_factor @ (self.q_factor.conj().T @ a)
-
-    def perp(self, a: np.ndarray) -> np.ndarray:
-        """(I - P) @ a."""
-        return a - self.project(a)
-
-    def perp_rows(self, a: np.ndarray) -> np.ndarray:
-        """a @ (I - P) for wide matrices."""
-        return a - (a @ self.q_factor) @ self.q_factor.conj().T
+        rinv = self.rinv
+        return rinv @ rinv.conj().T
 
     def projector(self) -> np.ndarray:
         """Dense M x M projector Q Q^H (small M only; debugging and demos)."""
-        return self.q_factor @ self.q_factor.conj().T
+        return self.q_factor @ self.qh
 
     # -- stochastic-path factors ------------------------------------------
 
@@ -197,10 +177,10 @@ class WhitenedWorkspace:
         return self._b_chol
 
     def b_solve(self, a: np.ndarray) -> np.ndarray:
-        """Solve (Q^H R_zl Q) x = a via the cached Cholesky factor."""
+        """Solve (Q^H R_zl Q) x = a via the kept Cholesky factor."""
         return cho_solve(self._require_spd(), a)
 
-    @cached_property
+    @property
     def m_zl(self) -> np.ndarray:
         """(Phi^H R_zl Phi)^-1 = R^-1 B^-1 R^-H."""
         binv = self.b_solve(np.eye(self.k, dtype=complex))
@@ -210,17 +190,17 @@ class WhitenedWorkspace:
     @property
     def p_z(self) -> np.ndarray:
         """Oblique factor P_z = Phi M_zl Phi^H = Q B^-1 Q^H."""
-        return self.q_factor @ self.b_solve(self.q_factor.conj().T)
+        return self.q_factor @ self.b_solve(self.qh)
 
-    @cached_property
+    @property
     def logdet_c(self) -> float:
         """log|C| with C = I - P + P R_zl P, via |C| = |Q^H R_zl Q|."""
         chol = self._require_spd()
-        return 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol[0])))))
+        return 2.0 * float(np.log(chol[0].diagonal().real).sum())
 
     def trace_perp(self) -> float:
         """tr{(I - P) R_zl} = tr{R_zl} - tr{B}."""
-        return float(np.real(np.trace(self.r_zl)) - np.real(np.trace(self.b)))
+        return float(self.r_zl.trace().real - self.b.trace().real)
 
 
 def build_workspace(
@@ -251,7 +231,7 @@ def build_workspace(
 
     phi = lam[:, None] * steering.phi
     q, r = thin_qr(phi)
-    diag = np.abs(np.diagonal(r))
+    diag = np.abs(r.diagonal())
     if not diag.min() > RANK_RTOL * diag.max():
         raise RankDeficiencyError(
             "whitened steering matrix is numerically rank deficient"
@@ -259,7 +239,9 @@ def build_workspace(
 
     # row/column scaling instead of dense diagonal products
     r_zl = (lam[:, None] * r_z.matrix) * lam[None, :]
-    b = (q.conj().T @ r_zl) @ q
+    qh = q.conj().T
+    qh_r = qh @ r_zl
+    b = qh_r @ q
 
     return WhitenedWorkspace(
         steering=steering,
@@ -270,6 +252,8 @@ def build_workspace(
         q_factor=q,
         r_factor=r,
         r_zl=r_zl,
+        qh=qh,
+        qh_r=qh_r,
         b=b,
     )
 
@@ -285,14 +269,14 @@ def cost_dml_uniform(ws: WhitenedWorkspace) -> float:
     arithmetic path is then shared bit-for-bit with :func:`cost_dml`,
     whose log term vanishes exactly.
     """
-    if np.any(ws.lam != 1.0):
+    if (ws.lam != 1.0).any():
         raise ValueError("uniform cost requires a workspace with lambda == 1")
     return _trace_cost(ws)
 
 
 def cost_dml(ws: WhitenedWorkspace) -> float:
     """Concentrated deterministic cost N(2 log|Lambda| - tr{(I-P) R_zl})."""
-    log_term = 2.0 * ws.n_snapshots * float(np.sum(np.log(ws.lam)))
+    log_term = 2.0 * ws.n_snapshots * float(np.log(ws.lam).sum())
     return log_term + _trace_cost(ws)
 
 

@@ -180,10 +180,11 @@ def test_default_uniform_hessian_is_negative_semidefinite():
 
 
 def test_derivative_calls_at_one_point_share_their_products(monkeypatch):
-    """(I-P) D is formed once per workspace however many derivative calls
-    are made there, and each result equals the one a fresh workspace
-    gives."""
-    from apndoa.workspace import WhitenedWorkspace
+    """The uniform gradient and Hessian at one point come from one kernel
+    pass, a single-block request forms only its own block's factors (the
+    lambda block needs no R^-1), and each result equals the one a fresh
+    workspace gives."""
+    import apndoa.derivatives as derivatives
 
     g, rz, th, lam = make_point(11)
     ones = np.ones(rz.m)
@@ -193,15 +194,20 @@ def test_derivative_calls_at_one_point_share_their_products(monkeypatch):
 
     alone = (grad_dml_uniform(point(ones)), hess_dml_uniform(point(ones)),
              grad_hess(point(lam), "S", block="theta"), grad_hess(point(lam), "S", block="lam"))
-    perp_calls = []
-    perp = WhitenedWorkspace.perp
+    kernel_calls, rinv_calls = [], []
+    kernel, solve_upper = derivatives._kernel, derivatives.solve_upper
     monkeypatch.setattr(
-        WhitenedWorkspace, "perp", lambda self, a: perp_calls.append(1) or perp(self, a)
+        derivatives, "_kernel", lambda *a: kernel_calls.append(a[1:]) or kernel(*a)
+    )
+    monkeypatch.setattr(
+        derivatives, "solve_upper", lambda *a: rinv_calls.append(1) or solve_upper(*a)
     )
     uniform, joint = point(ones), point(lam)
     shared = (grad_dml_uniform(uniform), hess_dml_uniform(uniform),
               grad_hess(joint, "S", block="theta"), grad_hess(joint, "S", block="lam"))
-    assert len(perp_calls) == 3  # (I-P) D at each point, (I-P) D2 for the theta block
+    # one pass for the uniform pair, one per block request
+    assert kernel_calls == [("D", True, "theta"), ("S", False, "theta"), ("S", False, "lam")]
+    assert len(rinv_calls) == 2  # the uniform pass and the theta block
     for a, b in zip(alone[:2], shared[:2]):
         assert np.array_equal(a, b)
     for a, b in zip(alone[2:], shared[2:]):

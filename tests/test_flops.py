@@ -21,7 +21,6 @@ from apndoa import (
     scale_for_snr,
     stream_rng,
     synthesize,
-    total_flop_estimate,
 )
 
 
@@ -93,7 +92,9 @@ def test_zero_work_result_costs_exactly_zero():
         stage3=StageCounts(),
         flop_estimate=0.0,
     )
-    assert total_flop_estimate(res, 5, 2) == 0.0
+    assert pipeline_flop_estimate(
+        5, 2, res.stage1, res.stage3, res.target, evaluations_only=True
+    ) == 0.0
 
 
 def test_total_estimate_is_linear_in_final_stage_iterations():
@@ -110,13 +111,19 @@ def test_total_estimate_is_linear_in_final_stage_iterations():
         stage3=StageCounts(newton_iters=1, grad_evals=1, cost_evals=1),
         flop_estimate=0.0,
     )
-    one = total_flop_estimate(base, 5, 2)
+
+    def evaluations(res):
+        return pipeline_flop_estimate(
+            5, 2, res.stage1, res.stage3, res.target, evaluations_only=True
+        )
+
+    one = evaluations(base)
     base.stage3 = StageCounts(newton_iters=7, grad_evals=7, cost_evals=7)
-    assert total_flop_estimate(base, 5, 2) == 7 * one
+    assert evaluations(base) == 7 * one
     assert one == eval_flops(5, 2, "S", derivatives=True)
     # extra backtracking evaluations are charged the plain polynomial
     base.stage3 = StageCounts(newton_iters=1, grad_evals=1, cost_evals=4)
-    assert total_flop_estimate(base, 5, 2) == one + 3 * eval_flops(5, 2, "S")
+    assert evaluations(base) == one + 3 * eval_flops(5, 2, "S")
 
 
 def test_pipeline_estimate_tracks_an_actual_run():
@@ -136,4 +143,7 @@ def test_pipeline_estimate_tracks_an_actual_run():
     # 5 * 11^2, elementwise work 4 * 11, pivoted QR floor(4 * 11^3 / 3)
     assert noise_init_flops(11) == 11616 + 605 + 44 + 1774
     fixed = covariance_flops(11, 100) + noise_init_flops(11)
-    assert res.flop_estimate == total_flop_estimate(res, 11, 3) + fixed
+    evaluations = pipeline_flop_estimate(
+        11, 3, res.stage1, res.stage3, "sml", n_snapshots=100, evaluations_only=True
+    )
+    assert res.flop_estimate == evaluations + fixed

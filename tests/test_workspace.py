@@ -284,3 +284,41 @@ def test_estimates_never_call_the_thread_waking_wrappers(monkeypatch):
     for target in TARGETS:
         res = apn_estimate(z, g, 3, target=target)
         assert np.all(np.isfinite(res.theta))
+
+
+def test_costs_form_no_derivative_factor(monkeypatch):
+    """Backtracking evaluates costs only; they must not reach the
+    derivative kernel, the triangular solve behind R^-1 or a solve with
+    the compressed covariance.  An indefinite compression still raises."""
+    import sys
+
+    import apndoa.derivatives
+    from apndoa import _lapack
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cost evaluation formed a derivative factor")
+
+    monkeypatch.setattr(apndoa.derivatives, "_kernel", refuse)
+    solves = {name: getattr(_lapack, name) for name in ("solve_upper", "cho_solve")}
+    patched = 0
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("apndoa"):
+            for name, fn in solves.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, refuse)
+                    patched += 1
+    assert patched >= 4  # each in _lapack and in the modules that call it
+    for seed in range(3):
+        g, th, lam, z = make_instance(seed)
+        rz = sample_covariance(z)
+        sset = steering_set(g, th)
+        assert np.isfinite(cost_dml_uniform(build_workspace(rz, sset, np.ones(g.m))))
+        ws = build_workspace(rz, sset, lam)
+        assert np.isfinite(cost_dml(ws)) and np.isfinite(cost_sml(ws))
+    g = ArrayGeometry.ula(5)
+    sset = steering_set(g, np.array([0.2, 0.8]))
+    q, _ = np.linalg.qr(sset.phi)
+    ws = build_workspace(SampleCovariance(np.eye(5) - 1.5 * (q @ q.conj().T), 10), sset, np.ones(5))
+    assert np.isfinite(cost_dml_uniform(ws))
+    with pytest.raises(IndefiniteCovarianceError):
+        cost_sml(ws)
