@@ -52,6 +52,7 @@ from .apn import (
     TARGETS,
     EstimationResult,
     StageCounts,
+    UniformStart,
     ap_add_angle,
     apn_estimate,
     default_exclusion,

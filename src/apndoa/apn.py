@@ -52,6 +52,7 @@ from . import flops as flop_model
 __all__ = [
     "TARGETS",
     "StageCounts",
+    "UniformStart",
     "EstimationResult",
     "ap_add_angle",
     "init_noise",
@@ -73,6 +74,31 @@ class StageCounts:
     cost_evals: int = 0
 
 
+@dataclass(frozen=True)
+class UniformStart:
+    """The outcome of stage 1 on one covariance, and what it was made from.
+
+    Stage 1 depends only on the covariance, the geometry, k, the line
+    search grid and exclusion radius, and the Newton options other than
+    ``hessian_mode``, so every target run on one batch shares it: pass
+    ``EstimationResult.start`` as ``apn_estimate(..., start=...)``.
+    ``theta`` is sorted ascending and read-only; ``stage1`` holds the
+    per-insertion counts and ``converged`` whether every refinement
+    converged.  ``grid_size`` and ``exclusion_radius`` are the resolved
+    values, defaults filled in.
+    """
+
+    theta: np.ndarray
+    stage1: tuple
+    converged: bool
+    r_z: SampleCovariance
+    geometry: ArrayGeometry
+    k: int
+    grid_size: int
+    exclusion_radius: float
+    options: NewtonOptions
+
+
 @dataclass
 class EstimationResult:
     """Estimate plus diagnostics for one snapshot batch.
@@ -81,7 +107,10 @@ class EstimationResult:
     uniform-noise target.  ``iters_stage3`` counts inner Newton
     iterations for the joint targets and outer alternations for the
     alternating ones.  ``flop_estimate`` applies the closed-form
-    per-iteration polynomials to the recorded iteration counts.
+    per-iteration polynomials to the recorded iteration counts; like
+    ``stage1`` it is the run's standalone cost, also when stage 1 came
+    in as a shared ``start``.  ``start`` is the stage-1 outcome, for
+    other targets on the same covariance.
     """
 
     target: str
@@ -96,6 +125,7 @@ class EstimationResult:
     stage3: StageCounts | None
     flop_estimate: float
     note: str = ""
+    start: UniformStart | None = None
 
     @property
     def iters_stage1(self) -> int:
@@ -113,6 +143,13 @@ def _default_grid(m: int) -> int:
 def default_exclusion(geometry: ArrayGeometry) -> float:
     """Half the standard beamwidth: pi over the aperture in half-wavelengths."""
     return np.pi / geometry.aperture
+
+
+def _line_search(geometry: ArrayGeometry, grid_size, exclusion_radius):
+    """The insertion grid size and exclusion radius, defaults filled in."""
+    grid = grid_size or _default_grid(geometry.m)
+    r_excl = default_exclusion(geometry) if exclusion_radius is None else exclusion_radius
+    return grid, r_excl
 
 
 def ap_add_angle(
@@ -139,8 +176,7 @@ def ap_add_angle(
     m = geometry.m
     if theta.size >= m:
         raise ValueError("cannot insert more sources than sensors")
-    grid = grid_size or _default_grid(m)
-    r_excl = default_exclusion(geometry) if exclusion_radius is None else exclusion_radius
+    grid, r_excl = _line_search(geometry, grid_size, exclusion_radius)
     if r_excl <= 0:
         raise ValueError("exclusion radius must be positive")
 
@@ -265,8 +301,9 @@ class _Workspaces:
     """
 
     def __init__(self, r_z: SampleCovariance, geometry: ArrayGeometry):
-        self._r_z = r_z
-        self._geometry = geometry
+        self.r_z = r_z
+        self.geometry = geometry
+        self.ones = np.ones(geometry.m)
         self._last = self._held = (None, None)
 
     def at(self, theta: np.ndarray, lam: np.ndarray, hold: bool = False):
@@ -277,11 +314,69 @@ class _Workspaces:
             ws = self._held[1]
         else:
             self._last = (None, None)
-            ws = build_workspace(self._r_z, steering_set(self._geometry, theta), lam)
+            ws = build_workspace(self.r_z, steering_set(self.geometry, theta), lam)
             self._last = (key, ws)
         if hold:
             self._held = (key, ws)
         return ws
+
+    def uniform_cost(self, theta: np.ndarray) -> float:
+        try:
+            ws = self.at(theta, self.ones)
+        except (RankDeficiencyError, ValueError):
+            return -np.inf
+        return cost_dml_uniform(ws)
+
+    def uniform_grad_hess(self, theta: np.ndarray):
+        ws = self.at(theta, self.ones, hold=True)
+        return grad_dml_uniform(ws), hess_dml_uniform(ws)
+
+
+def _stage1(points: _Workspaces, k: int, opts: NewtonOptions, grid: int, r_excl: float):
+    """Stage 1: k insertion line searches, each followed by uniform-noise
+    Newton refinement of all angles so far."""
+    theta = np.empty(0)
+    stage1 = []
+    converged = True
+    for _ in range(k):
+        theta, n_cand = ap_add_angle(
+            points.r_z, points.geometry, theta, grid_size=grid, exclusion_radius=r_excl
+        )
+        out = newton_maximize(points.uniform_cost, points.uniform_grad_hess, theta, opts)
+        theta = out.x
+        converged = converged and out.converged
+        stage1.append(_stage_counts(out, candidates=n_cand))
+    theta = np.sort(theta)
+    theta.flags.writeable = False
+    return UniformStart(
+        theta=theta,
+        stage1=tuple(stage1),
+        converged=converged,
+        r_z=points.r_z,
+        geometry=points.geometry,
+        k=k,
+        grid_size=grid,
+        exclusion_radius=r_excl,
+        options=opts,
+    )
+
+
+def _check_start(start, rz, geometry, k, opts, grid, r_excl) -> None:
+    """Refuse a stage-1 start made from other inputs than this run's."""
+    if not isinstance(start, UniformStart):
+        raise TypeError("start must be the UniformStart of an earlier estimate")
+    same = (
+        ("covariance object", start.r_z is rz),
+        ("geometry", np.array_equal(start.geometry.positions, geometry.positions)),
+        ("k", start.k == k),
+        ("grid size", start.grid_size == grid),
+        ("exclusion radius", start.exclusion_radius == r_excl),
+        # stage 1 does not read hessian_mode, which sml-red alone changes
+        ("Newton options", dataclasses.replace(start.options, hessian_mode=opts.hessian_mode) == opts),
+    )
+    for what, ok in same:
+        if not ok:
+            raise ValueError(f"start was made for another {what}")
 
 
 def apn_estimate(
@@ -292,6 +387,7 @@ def apn_estimate(
     options: NewtonOptions | None = None,
     grid_size: int | None = None,
     exclusion_radius: float | None = None,
+    start: UniformStart | None = None,
 ) -> EstimationResult:
     """Run the full estimation pipeline on a snapshot matrix.
 
@@ -307,6 +403,13 @@ def apn_estimate(
     options : NewtonOptions, optional
         ``hessian_mode`` is forced to 'reduced' for the ``sml-red``
         target.
+    start : UniformStart, optional
+        The ``start`` of an earlier result on the same
+        :class:`SampleCovariance` object, with the same geometry, k,
+        grid, exclusion radius and options (``hessian_mode`` aside).
+        Stage 1 is then taken from it instead of being run again; the
+        result is the same, counts and ``flop_estimate`` included.  A
+        start made from other inputs raises ``ValueError``.
 
     Notes
     -----
@@ -326,39 +429,20 @@ def apn_estimate(
         raise ValueError("covariance size does not match the geometry")
     if not (1 <= k < geometry.m):
         raise ValueError("need 1 <= k < M")
+    grid, r_excl = _line_search(geometry, grid_size, exclusion_radius)
 
     rz = z
     m = geometry.m
-    ones = np.ones(m)
     points = _Workspaces(rz, geometry)
 
-    def u_cost(theta):
-        try:
-            ws = points.at(theta, ones)
-        except (RankDeficiencyError, ValueError):
-            return -np.inf
-        return cost_dml_uniform(ws)
-
-    def u_grad_hess(theta):
-        ws = points.at(theta, ones, hold=True)
-        return grad_dml_uniform(ws), hess_dml_uniform(ws)
-
     # -- stage 1: insertion line searches + uniform Newton refinement -----
-    theta = np.empty(0)
-    stage1 = []
-    conv1 = True
-    for _ in range(k):
-        theta, n_cand = ap_add_angle(
-            rz, geometry, theta, grid_size=grid_size, exclusion_radius=exclusion_radius
-        )
-        out = newton_maximize(u_cost, u_grad_hess, theta, opts)
-        theta = out.x
-        conv1 = conv1 and out.converged
-        stage1.append(_stage_counts(out, candidates=n_cand))
-    order = np.argsort(theta)
-    theta = theta[order]
-    stage1 = tuple(stage1)
-    theta_initial = theta.copy()
+    if start is None:
+        start = _stage1(points, k, opts, grid, r_excl)
+    else:
+        _check_start(start, rz, geometry, k, opts, grid, r_excl)
+    theta = start.theta.copy()
+    stage1 = start.stage1
+    theta_initial = start.theta.copy()
 
     if target == "dmlo":
         flop_est = flop_model.pipeline_flop_estimate(
@@ -368,18 +452,19 @@ def apn_estimate(
             target=target,
             theta=theta,
             lam=None,
-            cost=u_cost(theta),
-            converged=conv1,
+            cost=points.uniform_cost(theta),
+            converged=start.converged,
             diverged_lambda=False,
             theta_initial=theta_initial,
             lam_initial=None,
             stage1=stage1,
             stage3=None,
             flop_estimate=flop_est,
+            start=start,
         )
 
     # -- stage 2: noise initialization ------------------------------------
-    lam0 = init_noise(rz, points.at(theta, ones).projector())
+    lam0 = init_noise(rz, points.at(theta, points.ones).projector())
 
     # -- stage 3: joint or alternating Newton ------------------------------
     which = "D" if target.startswith("dml") else "S"
@@ -432,6 +517,7 @@ def apn_estimate(
         stage3=stage3,
         flop_estimate=flop_est,
         note=note,
+        start=start,
     )
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .apn import TARGETS, apn_estimate
+from .apn import TARGETS, EstimationResult, apn_estimate
 from .arrays import (
     ArrayGeometry,
     DeterministicModel,
@@ -231,7 +231,9 @@ def match_angles(theta_true, theta_hat, method: str = "exhaustive"):
     return matched, (matched - t) ** 2
 
 
-def _run_estimator(config: ScenarioConfig, rz, estimator: str, snr_db: float, trial: int):
+def _run_estimator(config: ScenarioConfig, rz, estimator: str, snr_db: float, trial: int, start=None):
+    """One estimator's result on one batch (``None`` if it failed) and
+    its record.  APN estimators take stage 1 from ``start`` if given."""
     k = config.k
     t_true = np.sort(config.theta_true)
     try:
@@ -244,7 +246,9 @@ def _run_estimator(config: ScenarioConfig, rz, estimator: str, snr_db: float, tr
             diverged = False
             note = "" if res.found_all else "fewer than K separated peaks"
         else:
-            res = apn_estimate(rz, config.geometry, k, target=estimator, options=config.options)
+            res = apn_estimate(
+                rz, config.geometry, k, target=estimator, options=config.options, start=start
+            )
             theta_hat, lam_hat = res.theta, res.lam
             it1, it3 = res.iters_stage1, res.iters_stage3
             flops = res.flop_estimate
@@ -252,7 +256,7 @@ def _run_estimator(config: ScenarioConfig, rz, estimator: str, snr_db: float, tr
             note = res.note
     except (np.linalg.LinAlgError, ValueError) as exc:  # record the failure, keep sweeping
         nan = (math.nan,) * k
-        return TrialRecord(
+        return None, TrialRecord(
             snr_db=float(snr_db),
             trial=trial,
             estimator=estimator,
@@ -270,7 +274,7 @@ def _run_estimator(config: ScenarioConfig, rz, estimator: str, snr_db: float, tr
         )
     method = "exhaustive" if k <= 5 else "greedy"
     matched, sq = match_angles(t_true, theta_hat, method=method)
-    return TrialRecord(
+    return res, TrialRecord(
         snr_db=float(snr_db),
         trial=trial,
         estimator=estimator,
@@ -291,8 +295,16 @@ def _run_cell(config: ScenarioConfig, snr_index: int, trial: int, lam_true):
     rng = stream_rng(config.seed, snr_index, trial)
     z = synthesize(config.geometry, config.theta_true, config.source_model, lam_true, config.n_snapshots, rng)
     rz = sample_covariance(z)
-    # every estimator sees the identical batch
-    return [_run_estimator(config, rz, est, snr, trial) for est in config.estimators]
+    # every estimator sees the identical batch, and the APN estimators
+    # share the stage 1 of the first one that succeeds on it
+    records = []
+    start = None
+    for est in config.estimators:
+        res, record = _run_estimator(config, rz, est, snr, trial, start)
+        if start is None and isinstance(res, EstimationResult):
+            start = res.start
+        records.append(record)
+    return records
 
 
 def aggregate(records) -> tuple:
@@ -335,7 +347,12 @@ def run_monte_carlo(config: ScenarioConfig, threads: int | None = None) -> Monte
 
     Each (SNR index, trial index) cell owns the random stream
     ``stream_rng(seed, snr_index, trial)``, synthesizes one batch, and
-    feeds it to every estimator in turn.  With ``threads`` > 1 the cells
+    feeds it to every estimator in turn.  Stage 1 of the APN pipeline
+    (insertion and uniform-noise Newton) depends only on the batch, so it
+    runs once per cell, in the first APN estimator that succeeds, and the
+    later ones take its :class:`~apndoa.apn.UniformStart`; each record's
+    ``iters_stage1`` and ``flop_estimate`` stay that estimator's
+    standalone figures.  With ``threads`` > 1 the cells
     are distributed over a thread pool; records are assembled in cell
     order and aggregated order-insensitively, so results do not depend
     on the worker count.  Estimator failures (``LinAlgError`` and
