@@ -471,23 +471,25 @@ def apn_estimate(
     reduced = opts.hessian_mode == "reduced"
     cost_of = cost_dml if which == "D" else cost_sml
 
-    def j_cost(x):
+    def cost_at(theta, lam):
         try:
-            return cost_of(points.at(x[:k], x[k:]))
+            return cost_of(points.at(theta, lam))
         except (RankDeficiencyError, IndefiniteCovarianceError, ValueError):
             return -np.inf
 
-    def j_grad_hess(x, block=None):
-        ws = points.at(x[:k], x[k:], hold=True)
-        return grad_hess(ws, which, reduced, block=block)
-
-    x0 = np.concatenate([theta, lam0])
-    positive = np.zeros(k + m, dtype=bool)
-    positive[k:] = True
-    note = ""
+    def grad_hess_at(theta, lam, block=None):
+        return grad_hess(points.at(theta, lam, hold=True), which, reduced, block=block)
 
     if target in ("dml", "sml", "sml-red"):
-        out = newton_maximize(j_cost, j_grad_hess, x0, opts, positive=positive)
+        positive = np.zeros(k + m, dtype=bool)
+        positive[k:] = True
+        out = newton_maximize(
+            lambda x: cost_at(x[:k], x[k:]),
+            lambda x: grad_hess_at(x[:k], x[k:]),
+            np.concatenate([theta, lam0]),
+            opts,
+            positive=positive,
+        )
         x_fin = out.x
         stage3 = _stage_counts(out)
         converged = out.converged
@@ -496,7 +498,7 @@ def apn_estimate(
         note = out.note
     else:
         x_fin, stage3, converged, diverged, cost, note = _alternating(
-            j_cost, j_grad_hess, x0, k, m, opts
+            cost_at, grad_hess_at, theta, lam0, opts
         )
 
     order = np.argsort(x_fin[:k])
@@ -521,13 +523,15 @@ def apn_estimate(
     )
 
 
-def _alternating(j_cost, j_grad_hess, x0, k, m, opts: NewtonOptions):
+def _alternating(cost_at, grad_hess_at, theta, lam, opts: NewtonOptions):
     """Outer alternation of single damped Newton sweeps over theta and lambda.
 
-    Each block's sweep takes only its own derivatives (``j_grad_hess``
+    Each block's sweep takes only its own derivatives (``grad_hess_at``
     with ``block='theta'`` or ``'lam'``) and starts at the point the
     other block's sweep accepted, so its first cost and derivative
-    evaluations reuse that point's workspace.
+    evaluations reuse that point's workspace.  The sweeps' closures pass
+    the other block's current array as it is: Newton never writes to an
+    array it has handed to the cost, so the blocks need no copying.
 
     A lambda sweep that would start where the previous one started (the
     previous one left lambda unchanged and the theta sweep between them
@@ -539,48 +543,51 @@ def _alternating(j_cost, j_grad_hess, x0, k, m, opts: NewtonOptions):
     scaled norm ``max_i |dx_i| / max(1, |x_i|)`` ends the run; it counts
     as converged only if neither block's line search stalled.  The run
     stops as diverged once the largest lambda exceeds
-    ``divergence_factor`` times its stage-2 value.
+    ``divergence_factor`` times its stage-2 value.  Returns the final
+    ``concatenate([theta, lam])`` and the run's summary.
     """
-    x = x0.copy()
     one_step = dataclasses.replace(opts, max_iters=1)
-    lam_mask = np.ones(m, dtype=bool)
-    lam_max0 = x0[k:].max()
+    lam_mask = np.ones(lam.size, dtype=bool)
+    lam_limit = opts.divergence_factor * lam.max()
     grad_evals = cost_evals = outer = 0
     converged = diverged = False
-    cost = j_cost(x)
+    cost = cost_at(theta, lam)
     note = ""
+    x = np.concatenate([theta, lam])
     l_start = None              # bytes of the point the last lambda sweep started at
 
     def t_cost(t):
-        return j_cost(np.concatenate([t, x[k:]]))
+        return cost_at(t, lam)
 
     def t_gh(t):
-        return j_grad_hess(np.concatenate([t, x[k:]]), "theta")
+        return grad_hess_at(t, lam, "theta")
 
-    def l_cost(lam):
-        return j_cost(np.concatenate([x[:k], lam]))
+    def l_cost(l):
+        return cost_at(theta, l)
 
-    def l_gh(lam):
-        return j_grad_hess(np.concatenate([x[:k], lam]), "lam")
+    def l_gh(l):
+        return grad_hess_at(theta, l, "lam")
 
     for _ in range(opts.max_outer):
-        x_prev = x.copy()
-        out_t = newton_maximize(t_cost, t_gh, x[:k], one_step)
-        x[:k] = out_t.x
+        x_prev = x
+        out_t = newton_maximize(t_cost, t_gh, theta, one_step)
+        theta = out_t.x
         grad_evals += out_t.n_grad_evals
         cost_evals += out_t.n_cost_evals
-        if x.tobytes() != l_start:
-            l_start = x.tobytes()
-            out_l = newton_maximize(l_cost, l_gh, x[k:], one_step, positive=lam_mask)
+        start = theta.tobytes() + lam.tobytes()
+        if start != l_start:
+            l_start = start
+            out_l = newton_maximize(l_cost, l_gh, lam, one_step, positive=lam_mask)
             grad_evals += out_l.n_grad_evals
             cost_evals += out_l.n_cost_evals
-        x[k:] = out_l.x
+        lam = out_l.x
+        x = np.concatenate([theta, lam])
         outer += 1
         cost = max(out_t.cost, out_l.cost)
         if out_t.note.startswith("derivative") or out_l.note.startswith("derivative"):
             note = out_t.note or out_l.note
             break
-        if x[k:].max() > opts.divergence_factor * lam_max0:
+        if lam.max() > lam_limit:
             diverged = True
             note = DIVERGED_NOTE
             break

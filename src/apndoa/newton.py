@@ -12,6 +12,7 @@ divergence instead of being iterated into overflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +130,22 @@ def modified_cholesky(h: np.ndarray, scale: float = 1e-8):
     raise np.linalg.LinAlgError("modified Cholesky failed to find a shift")
 
 
+def _positive_index(positive, shape):
+    """The positive-flagged coordinates of a boolean mask as an index, or
+    ``None`` if none are flagged: a slice when they are contiguous, as
+    the noise parameters are, since a slice indexes without copying."""
+    if positive is None:
+        return None
+    mask = np.asarray(positive, dtype=bool)
+    if mask.shape != shape:
+        raise ValueError("positive mask must match the parameter vector")
+    idx = np.flatnonzero(mask)
+    if not idx.size:
+        return None
+    lo, hi = int(idx[0]), int(idx[-1]) + 1
+    return slice(lo, hi) if hi - lo == idx.size else idx
+
+
 def newton_maximize(
     cost_fn,
     grad_hess_fn,
@@ -171,24 +188,18 @@ def newton_maximize(
     opts = options or NewtonOptions()
     x = np.array(x0, dtype=float, copy=True)
     c = cost_fn(x)
-    if not np.isfinite(c):
+    if not math.isfinite(c):
         raise ValueError("cost is not finite at the starting point")
 
     out = NewtonOutcome(x=x, cost=c, n_cost_evals=1)
     out.cost_trace.append(c)
-    pos = None
-    pos_max0 = None
-    if positive is not None:
-        pos = np.asarray(positive, dtype=bool)
-        if pos.shape != x.shape:
-            raise ValueError("positive mask must match the parameter vector")
-        if not pos.any():
-            pos = None
+    pos = _positive_index(positive, x.shape)
     if pos is not None:
         if (x[pos] <= 0).any():
             raise ValueError("positive-flagged coordinates must start positive")
         pos_max0 = float(x[pos].max())
         out.pos_max_trace.append(pos_max0)
+        pos_limit = opts.divergence_factor * pos_max0
 
     for _ in range(opts.max_iters):
         try:
@@ -209,10 +220,10 @@ def newton_maximize(
             break
 
         if pos is not None:
-            floor = opts.lam_floor * x[pos]
-            ceil = opts.lam_growth * x[pos]
+            x_pos = x[pos]
+            floor = opts.lam_floor * x_pos
+            ceil = opts.lam_growth * x_pos
         mu = 1.0
-        accepted = False
         while mu >= opts.min_mu:
             x_try = x + mu * step
             if pos is not None:
@@ -221,11 +232,10 @@ def newton_maximize(
                 x_try[pos] = np.minimum(np.maximum(x_try[pos], floor), ceil)
             c_try = cost_fn(x_try)
             out.n_cost_evals += 1
-            if np.isfinite(c_try) and c_try > c:
-                accepted = True
+            if c < c_try < math.inf:
                 break
             mu *= opts.backtrack
-        if not accepted:
+        else:
             out.note = out.note or "line search found no ascent step"
             break
 
@@ -237,7 +247,7 @@ def newton_maximize(
         if pos is not None:
             pos_max = float(x[pos].max())
             out.pos_max_trace.append(pos_max)
-            if pos_max > opts.divergence_factor * pos_max0:
+            if pos_max > pos_limit:
                 out.diverged = True
                 out.note = DIVERGED_NOTE
                 break
