@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-__all__ = ["thin_qr", "solve_upper", "cholesky", "cho_solve"]
+__all__ = ["complete_qr", "solve_upper", "cholesky", "cho_solve"]
 
 (_ztrsm,) = get_blas_funcs(("trsm",), dtype=complex)
 _zgeqrf, _zungqr = get_lapack_funcs(("geqrf", "ungqr"), dtype=complex)
@@ -37,23 +37,32 @@ def _check(info: int, routine: str) -> None:
         raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
 
 
-def thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR of a complex M x K matrix with M >= K: ``np.linalg.qr(a)``.
+def complete_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """QR of a complex M x K matrix with M >= K, with the complete Q.
 
-    ``zgeqrf`` then ``zungqr``, as numpy calls them, and both factors
-    C-ordered, as numpy returns them.  Below LAPACK's block size (32
+    Returns ``(q, r, q_perp)``.  ``q`` and ``r`` are the thin factors of
+    ``np.linalg.qr(a)``, bit for bit and C-ordered as numpy returns them;
+    ``q_perp`` holds the other M - K columns of the complete unitary Q,
+    an orthonormal basis of the complement of ``a``'s range.
+
+    ``zgeqrf`` then ``zungqr``, as numpy calls them, except that
+    ``zungqr`` forms all M columns from the same K reflectors.  It
+    applies each reflector to every column on its own, so the first K
+    columns carry the bits of the thin Q.  Below LAPACK's block size (32
     columns) both routines run unblocked whatever the workspace size, so
     the default workspace gives numpy's bits.
     """
     qr, tau, _, info = _zgeqrf(a)
     _check(info, "zgeqrf")
-    k = a.shape[1]
+    m, k = a.shape
     r = qr[:k].copy()                 # C-ordered, as np.triu returns it
     for i in range(1, k):
         r[i, :i] = 0.0
-    q, _, info = _zungqr(qr, tau, overwrite_a=1)
+    full = np.zeros((m, m), dtype=complex, order="F")
+    full[:, :k] = qr
+    q, _, info = _zungqr(full, tau, overwrite_a=1)
     _check(info, "zungqr")
-    return np.ascontiguousarray(q), r
+    return np.ascontiguousarray(q[:, :k]), r, q[:, k:]
 
 
 def solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lstsq
 
-from ._lapack import thin_qr
+from ._lapack import complete_qr
 from .arrays import ArrayGeometry, steering_set
 from .derivatives import grad_dml_uniform, grad_hess, hess_dml_uniform
 from .newton import DIVERGED_NOTE, NewtonOptions, NewtonOutcome, newton_maximize
@@ -189,7 +189,7 @@ def ap_add_angle(
 
     q = None
     if theta.size:
-        q, _ = thin_qr(steering_set(geometry, theta).phi)
+        q, _, _ = complete_qr(steering_set(geometry, theta).phi)
 
     scores = np.full(grid, -np.inf)
     n_evaluated = int(allowed.sum())

@@ -3,17 +3,18 @@
 Everything downstream (costs, gradients, Hessians) is evaluated on a
 ``WhitenedWorkspace`` built once per (theta, lambda) point; it holds what
 a cost needs, and the derivatives form their own factors from it.  The
-workspace keeps the thin QR factorization of the whitened steering
-matrix ``Phi = diag(lambda) @ Phi_o`` and derives every projection and
-pseudoinverse from it; the Gram matrix ``Phi^H Phi`` is never inverted
-explicitly.
+workspace keeps the QR factorization of the whitened steering matrix
+``Phi = diag(lambda) @ Phi_o``, thin factors plus the complement basis
+``Q_perp``, and derives every projection and pseudoinverse from it; the
+Gram matrix ``Phi^H Phi`` is never inverted explicitly.
 
 Cost conventions (all three are *maximized*):
 
 * ``cost_dml_uniform``: -N * tr{(I - P_o) R_z}, the uniform-noise
   deterministic cost used by the line-search stage;
 * ``cost_dml``: N * (2 log|Lambda| - tr{(I - P) R_zl}) with
-  ``R_zl = Lambda R_z Lambda`` the whitened sample covariance;
+  ``R_zl = Lambda R_z Lambda`` the whitened sample covariance, and
+  ``tr{(I - P) R_zl} = tr{Q_perp^H R_zl Q_perp}``;
 * ``cost_sml``: cost_dml + cost_lc where ``cost_lc = -N log|C|`` and
   ``C = I - P + P R_zl P`` is evaluated through the K x K compression
   ``|C| = |Q^H R_zl Q|``.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import cho_solve, cholesky, solve_upper, thin_qr
+from ._lapack import cho_solve, cholesky, complete_qr, solve_upper
 from .arrays import SteeringSet, _check_noise
 
 __all__ = [
@@ -116,6 +117,7 @@ class WhitenedWorkspace:
     r_z: np.ndarray            # unwhitened sample covariance
     phi: np.ndarray            # whitened steering matrix Lambda Phi_o
     q_factor: np.ndarray       # thin Q, M x K
+    q_perp: np.ndarray         # the other M - K columns of the complete Q
     r_factor: np.ndarray       # upper-triangular R, K x K
     r_zl: np.ndarray           # whitened sample covariance Lambda R_z Lambda
     qh: np.ndarray             # Q^H, K x M
@@ -199,8 +201,17 @@ class WhitenedWorkspace:
         return 2.0 * float(np.log(chol[0].diagonal().real).sum())
 
     def trace_perp(self) -> float:
-        """tr{(I - P) R_zl} = tr{R_zl} - tr{B}."""
-        return float(self.r_zl.trace().real - self.b.trace().real)
+        """tr{(I - P) R_zl} = tr{Q_perp^H R_zl Q_perp}.
+
+        A sum of M - K terms ``q^H R_zl q`` that are nonnegative for a
+        positive semidefinite ``R_zl``.  The equal difference
+        ``tr R_zl - tr B`` of two traces that grow with the largest
+        lambda while the result does not loses the result to rounding
+        once a lambda runs away: 9e-8 relative on a 40 dB batch where
+        one lambda had grown to 7e4.
+        """
+        qp = self.q_perp
+        return float(np.vdot(qp, self.r_zl @ qp).real)
 
 
 def build_workspace(
@@ -211,8 +222,9 @@ def build_workspace(
     """Assemble the whitened workspace at a (theta, lambda) point.
 
     Only what a cost needs is formed here: the whitened steering matrix,
-    its thin QR with the rank check, the whitened covariance ``r_zl`` and
-    its compression ``b``.  Derivative factors are built on first use;
+    its QR with the rank check (thin factors plus the complement basis
+    ``q_perp``), the whitened covariance ``r_zl`` and its compression
+    ``b``.  Derivative factors are built on first use;
     see :class:`WhitenedWorkspace`.
 
     Raises
@@ -230,7 +242,7 @@ def build_workspace(
     lam = _check_noise(lam, m)
 
     phi = lam[:, None] * steering.phi
-    q, r = thin_qr(phi)
+    q, r, q_perp = complete_qr(phi)
     diag = np.abs(r.diagonal())
     if not diag.min() > RANK_RTOL * diag.max():
         raise RankDeficiencyError(
@@ -250,6 +262,7 @@ def build_workspace(
         r_z=r_z.matrix,
         phi=phi,
         q_factor=q,
+        q_perp=q_perp,
         r_factor=r,
         r_zl=r_zl,
         qh=qh,
