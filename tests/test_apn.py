@@ -258,6 +258,40 @@ def test_precomputed_covariance_is_accepted():
     assert np.array_equal(a.theta, b.theta)
 
 
+def test_a_shared_start_gives_the_standalone_result():
+    rz = sample_covariance(benchmark_batch(20.0))
+    start = apn_estimate(rz, GEOM, 3, target="dmlo").start
+    assert not start.theta.flags.writeable
+    # sml-red differs from dmlo's options in hessian_mode only
+    for target in ("sml", "sml-red"):
+        alone = apn_estimate(rz, GEOM, 3, target=target)
+        shared = apn_estimate(rz, GEOM, 3, target=target, start=start)
+        assert np.array_equal(shared.theta, alone.theta)
+        assert np.array_equal(shared.lam, alone.lam)
+        assert (shared.cost, shared.stage1, shared.stage3) == (alone.cost, alone.stage1, alone.stage3)
+        assert shared.flop_estimate == alone.flop_estimate
+        assert shared.start is start
+
+
+@pytest.mark.parametrize(
+    "what, change",
+    [
+        ("covariance object", lambda rz: dict(z=SampleCovariance(rz.matrix, rz.n_snapshots))),
+        ("geometry", lambda rz: dict(geometry=ArrayGeometry.ula(11, spacing=0.9))),
+        ("k", lambda rz: dict(k=2)),
+        ("grid size", lambda rz: dict(grid_size=100)),
+        ("exclusion radius", lambda rz: dict(exclusion_radius=0.1)),
+        ("Newton options", lambda rz: dict(options=NewtonOptions(max_iters=20))),
+    ],
+)
+def test_a_start_made_from_other_inputs_is_refused(what, change):
+    rz = sample_covariance(benchmark_batch(20.0))
+    start = apn_estimate(rz, GEOM, 3, target="dmlo").start
+    args = dict(z=rz, geometry=GEOM, k=3, target="sml", start=start)
+    with pytest.raises(ValueError, match=f"start was made for another {what}"):
+        apn_estimate(**(args | change(rz)))
+
+
 def test_alternating_target_counts_outer_sweeps():
     z, _ = snapshots(20.0, seed=12)
     opts = NewtonOptions(max_outer=7)

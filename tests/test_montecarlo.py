@@ -9,6 +9,8 @@ import pytest
 
 import apndoa.montecarlo as mc
 from apndoa import (
+    ESTIMATORS,
+    TARGETS,
     AggregateRecord,
     DeterministicModel,
     MonteCarloResult,
@@ -253,12 +255,70 @@ def test_load_scenario(tmp_path):
 
 # -- sweeps -----------------------------------------------------------------
 
-def test_every_estimator_sees_the_same_batch():
-    a = run_monte_carlo(tiny_config(estimators=("dmlo",)))
-    b = run_monte_carlo(tiny_config(estimators=("sml", "dmlo")))
-    dmlo_a = [r for r in a.records if r.estimator == "dmlo"]
-    dmlo_b = [r for r in b.records if r.estimator == "dmlo"]
-    assert dmlo_a == dmlo_b
+# the first APN estimator of each order makes the batch's stage-1 start
+# (dmlo with full Hessians, sml-red with reduced ones); the others take it
+SHARING_ORDERS = (ESTIMATORS, ESTIMATORS[::-1])
+
+
+@pytest.fixture(scope="module")
+def shared_sweeps():
+    """Records of sweeps of every estimator, in both orders, at 0 and 40
+    dB, on one thread and on four."""
+    return [
+        run_monte_carlo(tiny_config(estimators=order, snr_db=(0.0, 40.0)), threads=threads).records
+        for order in SHARING_ORDERS
+        for threads in (1, 4)
+    ]
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_every_estimator_sees_the_same_batch(shared_sweeps, target):
+    """An APN target's records are the same whether it runs alone or
+    shares a stage-1 start made by another estimator on the batch."""
+    alone = run_monte_carlo(tiny_config(estimators=(target,), snr_db=(0.0, 40.0))).records
+    assert len(alone) == 4
+    for records in shared_sweeps:
+        assert [r for r in records if r.estimator == target] == list(alone)
+
+
+def test_stage1_runs_once_per_batch(monkeypatch):
+    import apndoa.apn
+
+    calls = {"ap_add_angle": 0, "apn_estimate": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    counting(apndoa.apn, "ap_add_angle")
+    counting(mc, "apn_estimate")
+    cfg = tiny_config(estimators=("dmlo", "sml", "sml-red"), trials=1)
+    run_monte_carlo(cfg)
+    assert calls == {"ap_add_angle": cfg.k, "apn_estimate": 3}
+
+
+def test_a_stage1_failure_fails_every_apn_estimator_alike(monkeypatch):
+    """With no start to share, each APN estimator runs stage 1 itself and
+    records the same failure; MUSIC does not run stage 1."""
+    import apndoa.apn
+
+    cfg = tiny_config(estimators=("music", "dmlo", "sml", "sml-red"))
+    music = [r for r in run_monte_carlo(cfg).records if r.estimator == "music"]
+
+    def boom(*args, **kwargs):
+        raise ValueError("synthetic insertion failure")
+
+    monkeypatch.setattr(apndoa.apn, "ap_add_angle", boom)
+    result = run_monte_carlo(cfg)
+    apn = [r for r in result.records if r.estimator != "music"]
+    assert len(apn) == 6
+    assert all(r.failed and r.note == "ValueError: synthetic insertion failure" for r in apn)
+    assert [r for r in result.records if r.estimator == "music"] == music
 
 
 def test_thread_count_does_not_change_records():
