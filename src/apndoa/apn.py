@@ -334,7 +334,7 @@ class _Workspaces:
 
 def _stage1(points: _Workspaces, k: int, opts: NewtonOptions, grid: int, r_excl: float):
     """Stage 1: k insertion line searches, each followed by uniform-noise
-    Newton refinement of all angles so far."""
+    Newton refinement of all angles so far, as a :class:`UniformStart`."""
     theta = np.empty(0)
     stage1 = []
     converged = True
@@ -440,9 +440,9 @@ def apn_estimate(
         start = _stage1(points, k, opts, grid, r_excl)
     else:
         _check_start(start, rz, geometry, k, opts, grid, r_excl)
-    theta = start.theta.copy()
+    theta = start.theta
     stage1 = start.stage1
-    theta_initial = start.theta.copy()
+    theta_initial = theta.copy()
 
     if target == "dmlo":
         flop_est = flop_model.pipeline_flop_estimate(
@@ -450,7 +450,7 @@ def apn_estimate(
         )
         return EstimationResult(
             target=target,
-            theta=theta,
+            theta=theta.copy(),
             lam=None,
             cost=points.uniform_cost(theta),
             converged=start.converged,
@@ -562,11 +562,11 @@ def _alternating(cost_at, grad_hess_at, theta, lam, opts: NewtonOptions):
     def t_gh(t):
         return grad_hess_at(t, lam, "theta")
 
-    def l_cost(l):
-        return cost_at(theta, l)
+    def l_cost(lam_try):
+        return cost_at(theta, lam_try)
 
-    def l_gh(l):
-        return grad_hess_at(theta, l, "lam")
+    def l_gh(lam_try):
+        return grad_hess_at(theta, lam_try, "lam")
 
     for _ in range(opts.max_outer):
         x_prev = x

@@ -232,7 +232,7 @@ def newton_maximize(
                 x_try[pos] = np.minimum(np.maximum(x_try[pos], floor), ceil)
             c_try = cost_fn(x_try)
             out.n_cost_evals += 1
-            if c < c_try < math.inf:
+            if c < c_try < math.inf:            # a strict, finite increase
                 break
             mu *= opts.backtrack
         else:
