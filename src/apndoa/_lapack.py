@@ -20,7 +20,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-__all__ = ["complete_qr", "solve_upper", "cholesky", "cho_solve"]
+__all__ = ["complete_qr", "solve_upper", "cholesky", "cho_solve", "per_lane"]
+
+# from this many lanes on, numpy's stacked QR (one gufunc call) beats a
+# loop of complete_qr calls: 27.6 against 39.6 us at five 11 x 3 lanes,
+# 21.1 against 16.2 us at two (2-core x86-64, OpenBLAS 0.3.31)
+STACKED_QR_LANES = 3
 
 (_ztrsm,) = get_blas_funcs(("trsm",), dtype=complex)
 _zgeqrf, _zungqr = get_lapack_funcs(("geqrf", "ungqr"), dtype=complex)
@@ -51,7 +56,30 @@ def complete_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     columns carry the bits of the thin Q.  Below LAPACK's block size (32
     columns) both routines run unblocked whatever the workspace size, so
     the default workspace gives numpy's bits.
+
+    A (T, M, K) stack gives (T, ...) stacks whose lanes have the bits and
+    the memory layout of their own calls (``q_perp``'s lanes are
+    Fortran-ordered); from :data:`STACKED_QR_LANES` lanes on they come
+    from one ``np.linalg.qr(mode="complete")`` call, which runs the same
+    two routines.
     """
+    if a.ndim == 3:
+        if a.shape[0] == 1:
+            return tuple(f[None] for f in complete_qr(a[0]))
+        if a.shape[0] < STACKED_QR_LANES:
+            lanes = [complete_qr(x) for x in a]
+            return (
+                np.stack([f[0] for f in lanes]),
+                np.stack([f[1] for f in lanes]),
+                np.stack([f[2].T for f in lanes]).mT,
+            )
+        k = a.shape[-1]
+        q, r = np.linalg.qr(a, mode="complete")
+        return (
+            np.ascontiguousarray(q[..., :k]),
+            np.ascontiguousarray(r[..., :k, :]),
+            np.ascontiguousarray(q[..., k:].mT).mT,
+        )
     qr, tau, _, info = _zgeqrf(a)
     _check(info, "zgeqrf")
     m, k = a.shape
@@ -101,3 +129,18 @@ def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
     x, info = _POTRS[c.dtype](c, b, lower=lower)
     _check(info, "potrs")
     return x
+
+
+def per_lane(solve, factors, b: np.ndarray) -> np.ndarray:
+    """``solve(f, b)`` for each lane's factor ``f``, as a stack.
+
+    The routines here return Fortran-ordered arrays, and a matrix
+    product can round differently with the layout of its operands, so
+    each lane of the stack keeps that layout.
+    """
+    if len(factors) == 1:
+        return solve(factors[0], b)[None]
+    out = np.empty((len(factors),) + b.shape[::-1], dtype=complex).mT
+    for i, f in enumerate(factors):
+        out[i] = solve(f, b)
+    return out

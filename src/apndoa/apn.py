@@ -28,24 +28,28 @@ and ``dml-alt`` exist for study and comparison; the run is flagged via
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lstsq
 
 from ._lapack import complete_qr
-from .arrays import ArrayGeometry, steering_set
+from .arrays import ArrayGeometry, angles_valid, steering_set
 from .derivatives import grad_dml_uniform, grad_hess, hess_dml_uniform
-from .newton import DIVERGED_NOTE, NewtonOptions, NewtonOutcome, newton_maximize
+from .newton import DIVERGED_NOTE, NewtonOptions, NewtonOutcome, newton_lanes, newton_maximize
 from .workspace import (
     IndefiniteCovarianceError,
     RankDeficiencyError,
     SampleCovariance,
+    WhitenedWorkspace,
     build_workspace,
     cost_dml,
     cost_dml_uniform,
     cost_sml,
+    rank_error,
     sample_covariance,
+    spd_error,
 )
 from . import flops as flop_model
 
@@ -57,11 +61,14 @@ __all__ = [
     "ap_add_angle",
     "init_noise",
     "apn_estimate",
+    "estimate_lanes",
 ]
 
 TARGETS = ("dmlo", "dml", "dml-alt", "sml", "sml-alt", "sml-red")
 
 _HALF_PI = np.pi / 2.0
+
+_NO_ROW = np.zeros(1, dtype=bool)   # the one row of a single lane has no workspace
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,18 @@ def _line_search(geometry: ArrayGeometry, grid_size, exclusion_radius):
     return grid, r_excl
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_steering(positions: bytes, grid: int):
+    """The insertion grid's midpoint angles and their M x grid steering
+    matrix, read-only: made once per array and grid size, since every
+    insertion of every estimate scores columns of the same matrix (each
+    column has the bits it has when computed alone)."""
+    centers = -_HALF_PI + np.pi * (np.arange(grid) + 0.5) / grid
+    phi = np.exp(1j * np.pi * np.frombuffer(positions)[:, None] * np.sin(centers)[None, :])
+    centers.flags.writeable = phi.flags.writeable = False
+    return centers, phi
+
+
 def ap_add_angle(
     r_z: SampleCovariance,
     geometry: ArrayGeometry,
@@ -180,7 +199,7 @@ def ap_add_angle(
     if r_excl <= 0:
         raise ValueError("exclusion radius must be positive")
 
-    centers = -_HALF_PI + np.pi * (np.arange(grid) + 0.5) / grid
+    centers, grid_phi = _grid_steering(geometry.positions.tobytes(), grid)
     allowed = np.ones(grid, dtype=bool)
     for t in theta:
         allowed &= np.abs(centers - t) >= r_excl
@@ -195,9 +214,7 @@ def ap_add_angle(
     n_evaluated = int(allowed.sum())
 
     def _score(idx):
-        phi = np.exp(
-            1j * np.pi * geometry.positions[:, None] * np.sin(centers[idx])[None, :]
-        )
+        phi = grid_phi.take(idx, axis=1)        # C-ordered, as computed alone
         resid = phi if q is None else phi - q @ (q.conj().T @ phi)
         norms = np.einsum("ij,ij->j", resid.conj(), resid).real
         vals = np.einsum("ij,ij->j", resid.conj(), r_z.matrix @ resid).real
@@ -286,79 +303,298 @@ def _stage_counts(out: NewtonOutcome, candidates: int = 0) -> StageCounts:
 
 
 class _Workspaces:
-    """The workspaces of one :func:`apn_estimate` call, keyed by the exact
-    bytes of (theta, lambda).
+    """The workspaces of one estimate over T lanes, keyed per lane by the
+    exact bytes of (theta, lambda).
 
-    Two entries are kept: the last workspace built, and the one whose
-    derivatives were taken last (``hold=True``).  Newton asks for
+    Per lane two entries are kept: the last workspace built, and the one
+    whose derivatives were taken last (``hold=True``).  Newton asks for
     derivatives at the point its last cost call accepted, and every
     stage or alternating block starts where the previous one stopped:
     at that point or, after a line search found no ascent step, at the
     held one.  No line search is repeated from the same start (see
     :func:`_alternating`), so no point is built twice.  Keys are bytes,
-    not array identities, because Newton clips trial arrays in place.  A
-    failed build leaves the last-built entry empty.
+    not array identities.  A failed build leaves the last-built entry
+    empty.  An entry is a lane of a stack built for several lanes at
+    once, and :meth:`at` gathers the lanes it is asked for into one
+    stack.  A single lane is not stacked: its workspaces are the
+    unstacked ones, whose arrays have no lane axis, which saves the
+    stacked calls' overhead where nothing is shared.
     """
 
-    def __init__(self, r_z: SampleCovariance, geometry: ArrayGeometry):
-        self.r_z = r_z
+    def __init__(self, covariances, geometry: ArrayGeometry):
+        self.covariances = covariances
+        self.single = len(covariances) == 1
+        self.r_z = None if self.single else SampleCovariance.stack(covariances)
         self.geometry = geometry
-        self.ones = np.ones(geometry.m)
-        self._last = self._held = (None, None)
+        self._last = [None] * len(covariances)     # (key, stack, row)
+        self._held = [None] * len(covariances)
+        self._ones = {}
+        self.ones1 = np.ones(geometry.m)
 
-    def at(self, theta: np.ndarray, lam: np.ndarray, hold: bool = False):
-        key = (theta.tobytes(), lam.tobytes())
-        if self._last[0] == key:
-            ws = self._last[1]
-        elif self._held[0] == key:
-            ws = self._held[1]
-        else:
-            self._last = (None, None)
-            ws = build_workspace(self.r_z, steering_set(self.geometry, theta), lam)
-            self._last = (key, ws)
+    def at(self, lanes, theta: np.ndarray, lam: np.ndarray, hold: bool = False):
+        """The stacked workspace at the rows of (theta, lam), one row per
+        lane of ``lanes``, and ``None`` if every row has one, or else a
+        mask of the rows that have one: rows with invalid angles or noise
+        parameters have none (and the workspace is None if no row has
+        one).  Rank-deficient rows are in the stack, marked in
+        ``full_rank``."""
+        last, held = self._last, self._held
+        if self.single:
+            return self._at_single(theta[0], lam[0], hold)
+        refs = []
+        missing = []
+        for j, lane in enumerate(lanes.tolist()):
+            key = (theta[j].tobytes(), lam[j].tobytes())
+            entry = last[lane]
+            if entry is None or entry[0] != key:
+                entry = held[lane]
+                if entry is None or entry[0] != key:
+                    last[lane] = None
+                    missing.append(j)
+                    entry = key
+            refs.append(entry)
+        ok = None
+        if missing:
+            rows = np.array(missing)
+            try:
+                if len(missing) == len(lanes):
+                    ws = build_workspace(self.r_z.lanes(lanes), steering_set(self.geometry, theta), lam)
+                else:
+                    ws = build_workspace(
+                        self.r_z.lanes(lanes[rows]), steering_set(self.geometry, theta[rows]), lam[rows]
+                    )
+            except ValueError:
+                # a row's angles or noise parameters are invalid: build the others
+                lm = lam[rows]
+                valid = angles_valid(theta[rows]) & (lm > 0.0).all(axis=-1) & (lm < np.inf).all(axis=-1)
+                ok = np.ones(len(lanes), dtype=bool)
+                ok[rows[~valid]] = False
+                rows = rows[valid]
+                ws = None
+                if rows.size:
+                    ws = build_workspace(
+                        self.r_z.lanes(lanes[rows]), steering_set(self.geometry, theta[rows]), lam[rows]
+                    )
+            for r, j in enumerate(rows.tolist()):
+                refs[j] = (refs[j], ws, r)
+                if ws.all_full_rank or ws.full_rank[r]:
+                    last[lanes[j]] = refs[j]
+        found = refs if ok is None else [ref for ref, o in zip(refs, ok) if o]
         if hold:
-            self._held = (key, ws)
-        return ws
+            for lane, ref in zip(lanes.tolist() if ok is None else lanes[ok].tolist(), found):
+                held[lane] = ref
+        return (_gather(found) if found else None), ok
 
-    def uniform_cost(self, theta: np.ndarray) -> float:
-        try:
-            ws = self.at(theta, self.ones)
-        except (RankDeficiencyError, ValueError):
+    def _at_single(self, theta: np.ndarray, lam: np.ndarray, hold: bool):
+        """:meth:`at` for a single lane, on unstacked workspaces."""
+        key = (theta.tobytes(), lam.tobytes())
+        entry = self._last[0]
+        if entry is None or entry[0] != key:
+            entry = self._held[0]
+            if entry is None or entry[0] != key:
+                self._last[0] = None
+                try:
+                    ws = build_workspace(self.covariances[0], steering_set(self.geometry, theta), lam)
+                except (RankDeficiencyError, ValueError):     # the point is infeasible
+                    return None, _NO_ROW
+                entry = self._last[0] = (key, ws, None)
+        if hold:
+            self._held[0] = entry
+        return entry[1], None
+
+    def ones(self, n: int) -> np.ndarray:
+        """(n, M) noise parameters equal to one, for the uniform cost."""
+        ones = self._ones.get(n)
+        if ones is None:
+            ones = self._ones[n] = np.ones((n, self.geometry.m))
+        return ones
+
+
+class _Problem:
+    """What one Newton run maximizes over the lanes of a store: a cost and
+    its derivatives at the rows ``x`` of the lanes, where ``x`` is
+    [theta, lambda] or, for stage 1 (``k`` None), theta with lambda one.
+
+    ``costs`` and ``grad_hess`` are the lane callbacks of
+    :func:`newton_lanes`; ``cost`` and ``grad_hess_one`` are those of
+    :func:`newton_maximize` for a store of a single lane.
+    """
+
+    def __init__(self, points: _Workspaces, cost, derivatives, k=None, stochastic=False):
+        self.points = points
+        self.cost_of = cost
+        self.derivatives = derivatives
+        self.k = k
+        self.stochastic = stochastic
+
+    def _split(self, x):
+        """(theta, lambda) rows of the (L, n) rows x."""
+        if self.k is None:
+            return x, self.points.ones(len(x))
+        return x[:, :self.k], x[:, self.k:]
+
+    def costs(self, x, lanes):
+        return _lane_costs(*self.points.at(lanes, *self._split(x)), self.cost_of)
+
+    def grad_hess(self, x, lanes):
+        ws, ok = self.points.at(lanes, *self._split(x), hold=True)
+        return _derivatives(ws, ok, self.derivatives, self.stochastic)
+
+    def cost(self, x) -> float:
+        if self.k is None:
+            return self.cost_at(x, self.points.ones1)
+        return self.cost_at(x[:self.k], x[self.k:])
+
+    def grad_hess_one(self, x):
+        if self.k is None:
+            return self.grad_hess_at(x, self.points.ones1)
+        return self.grad_hess_at(x[:self.k], x[self.k:])
+
+    def cost_at(self, theta: np.ndarray, lam: np.ndarray) -> float:
+        ws, _ = self.points._at_single(theta, lam, False)
+        if ws is None:
             return -np.inf
-        return cost_dml_uniform(ws)
+        try:
+            return self.cost_of(ws)
+        except (np.linalg.LinAlgError, ValueError):      # the point is infeasible
+            return -np.inf
 
-    def uniform_grad_hess(self, theta: np.ndarray):
-        ws = self.at(theta, self.ones, hold=True)
-        return grad_dml_uniform(ws), hess_dml_uniform(ws)
+    def grad_hess_at(self, theta: np.ndarray, lam: np.ndarray, block=None):
+        ws, _ = self.points._at_single(theta, lam, True)
+        if ws is None:
+            raise rank_error()
+        return self.derivatives(ws, block)
 
 
-def _stage1(points: _Workspaces, k: int, opts: NewtonOptions, grid: int, r_excl: float):
-    """Stage 1: k insertion line searches, each followed by uniform-noise
-    Newton refinement of all angles so far, as a :class:`UniformStart`."""
-    theta = np.empty(0)
-    stage1 = []
-    converged = True
-    for _ in range(k):
-        theta, n_cand = ap_add_angle(
-            points.r_z, points.geometry, theta, grid_size=grid, exclusion_radius=r_excl
+def _lane_costs(ws, ok, cost) -> np.ndarray:
+    """``cost`` per row of :meth:`_Workspaces.at`'s result: -inf for rows
+    without a workspace."""
+    if ok is None:
+        if ws.stacked:
+            return cost(ws)
+        try:
+            return [cost(ws)]
+        except (np.linalg.LinAlgError, ValueError):      # the point is infeasible
+            return [-np.inf]
+    c = np.full(len(ok), -np.inf)
+    if ws is not None:
+        c[ok] = cost(ws)
+    return c
+
+
+def _gather(refs) -> WhitenedWorkspace:
+    """One stack of the lanes that the (key, stack, row) entries name."""
+    first = refs[0][1]
+    if all(ref[1] is first for ref in refs):
+        rows = [ref[2] for ref in refs]
+        return first if rows == list(range(len(first.b))) else first.take(rows)
+    groups: dict = {}
+    for j, (_, ws, row) in enumerate(refs):
+        ws_rows, js = groups.setdefault(id(ws), (ws, [], []))[1:]
+        ws_rows.append(row)
+        js.append(j)
+    joined = WhitenedWorkspace.join([ws.take(rows) for ws, rows, _ in groups.values()])
+    order = [j for _, _, js in groups.values() for j in js]
+    return joined if order == sorted(order) else joined.take(np.argsort(order))
+
+
+def _derivatives(ws, ok, evaluate, stochastic: bool = False):
+    """``evaluate(ws)`` as :func:`newton_lanes` asks for derivatives:
+    ``(g, h, failed)`` by row, where a row whose point is not feasible
+    fails alone, with the error its single-lane call would raise."""
+    if ok is None and ws.all_full_rank and not (stochastic and None in ws.b_factors()):
+        g, h = evaluate(ws)
+        return g, h, {}
+    ok = np.ones(len(ws.b), dtype=bool) if ok is None else ok
+    bad = ~ok
+    rows = np.cumsum(ok) - 1
+    if ws is not None:
+        feasible = ws.full_rank
+        if stochastic:
+            feasible = feasible & np.array([f is not None for f in ws.b_factors()])
+        bad[ok] = ~feasible
+    failed = {
+        j: rank_error() if not ok[j] or not ws.full_rank[rows[j]] else spd_error()
+        for j in np.flatnonzero(bad)
+    }
+    if bad.all():
+        return None, None, failed
+    g, h = evaluate(ws.take(feasible))
+    g_all = np.zeros((len(ok),) + g.shape[1:])
+    h_all = np.zeros((len(ok),) + h.shape[1:])
+    g_all[~bad], h_all[~bad] = g, h
+    return g_all, h_all, failed
+
+
+def _maximize(problem: _Problem, x0: np.ndarray, lanes: np.ndarray, opts: NewtonOptions, positive=None):
+    """Newton over the rows of ``x0``, which belong to ``lanes``.  A store
+    of a single lane runs through :func:`newton_maximize`, the one-lane
+    call of :func:`newton_lanes`, whose error it keeps in the outcome as
+    a lane of the other would."""
+    if not problem.points.single:
+        return newton_lanes(
+            lambda x, rows: problem.costs(x, lanes[rows]),
+            lambda x, rows: problem.grad_hess(x, lanes[rows]),
+            x0,
+            opts,
+            positive=positive,
         )
-        out = newton_maximize(points.uniform_cost, points.uniform_grad_hess, theta, opts)
-        theta = out.x
-        converged = converged and out.converged
-        stage1.append(_stage_counts(out, candidates=n_cand))
-    theta = np.sort(theta)
-    theta.flags.writeable = False
-    return UniformStart(
-        theta=theta,
-        stage1=tuple(stage1),
-        converged=converged,
-        r_z=points.r_z,
-        geometry=points.geometry,
-        k=k,
-        grid_size=grid,
-        exclusion_radius=r_excl,
-        options=opts,
-    )
+    try:
+        out = newton_maximize(problem.cost, problem.grad_hess_one, x0[0], opts, positive=positive)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        out = NewtonOutcome(x=x0[0], cost=np.nan, error=exc)
+    return [out]
+
+
+def _stage1(points: _Workspaces, lanes: np.ndarray, k: int, opts: NewtonOptions, grid: int, r_excl: float):
+    """Stage 1 on ``lanes``: k insertion line searches, each followed by
+    uniform-noise Newton refinement of all angles so far, one Newton run
+    over every lane per insertion.  Returns per lane a
+    :class:`UniformStart`, or the error that stopped the lane."""
+    theta = {i: np.empty(0) for i in lanes}
+    counts = {i: [] for i in lanes}
+    converged = dict.fromkeys(lanes, True)
+    failed = {}
+    uniform = _Problem(points, cost_dml_uniform, lambda ws, block=None: (grad_dml_uniform(ws), hess_dml_uniform(ws)))
+    for _ in range(k):
+        n_cand = {}
+        for i in theta:
+            try:
+                theta[i], n_cand[i] = ap_add_angle(
+                    points.covariances[i], points.geometry, theta[i], grid_size=grid, exclusion_radius=r_excl
+                )
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                failed[i] = exc
+        live = np.array([i for i in theta if i not in failed], dtype=int)
+        for i in failed:
+            theta.pop(i, None)
+        if not live.size:
+            break
+        x0 = np.array([theta[i] for i in live])
+        for i, out in zip(live, _maximize(uniform, x0, live, opts)):
+            if out.error is not None:
+                failed[i] = out.error
+                del theta[i]
+                continue
+            theta[i] = out.x
+            converged[i] = converged[i] and out.converged
+            counts[i].append(_stage_counts(out, candidates=n_cand[i]))
+    starts = dict(failed)
+    for i, t in theta.items():
+        t = np.sort(t)
+        t.flags.writeable = False
+        starts[i] = UniformStart(
+            theta=t,
+            stage1=tuple(counts[i]),
+            converged=converged[i],
+            r_z=points.covariances[i],
+            geometry=points.geometry,
+            k=k,
+            grid_size=grid,
+            exclusion_radius=r_excl,
+            options=opts,
+        )
+    return starts
 
 
 def _check_start(start, rz, geometry, k, opts, grid, r_excl) -> None:
@@ -413,114 +649,185 @@ def apn_estimate(
 
     Notes
     -----
+    This is the one-lane call of :func:`estimate_lanes`: its workspaces
+    are (1, ...) stacks, and it raises what that lane's result holds.
     Cost and derivative calls at one (theta, lambda) point share one
     workspace: see :class:`_Workspaces`.
     """
-    target = _normalize_target(target)
-    opts = options or NewtonOptions()
-    if target == "sml-red":
-        opts = dataclasses.replace(opts, hessian_mode="reduced")
     if not isinstance(z, SampleCovariance):
         z = np.asarray(z, dtype=complex)
         if z.ndim != 2 or z.shape[0] != geometry.m:
             raise ValueError("snapshot matrix must be M x N")
         z = sample_covariance(z)
-    if z.m != geometry.m:
-        raise ValueError("covariance size does not match the geometry")
+    (res,) = estimate_lanes(
+        [z], geometry, k, target, options, grid_size, exclusion_radius, starts=[start]
+    )
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def estimate_lanes(
+    covariances,
+    geometry: ArrayGeometry,
+    k: int,
+    target: str = "sml",
+    options: NewtonOptions | None = None,
+    grid_size: int | None = None,
+    exclusion_radius: float | None = None,
+    starts=None,
+) -> list:
+    """Run the pipeline on T sample covariances at once, one lane each.
+
+    Every lane's result is, bit for bit, what :func:`apn_estimate` gives
+    on its covariance alone.  Stage 1's uniform Newton and the joint
+    stage-3 Newton of ``dml``, ``sml`` and ``sml-red`` run every lane in
+    one :func:`newton_lanes` call, on (T, M, K) steering and (T, M, M)
+    covariance stacks; the insertion line searches, the stage-2 fits and
+    the alternating targets run lane by lane.
+
+    Parameters
+    ----------
+    covariances : sequence of SampleCovariance
+        One per lane, all M x M with one snapshot count.
+    starts : sequence, optional
+        Per lane, ``None`` or the :class:`UniformStart` to take stage 1
+        from, as ``apn_estimate``'s ``start``.
+    geometry, k, target, options, grid_size, exclusion_radius
+        As for :func:`apn_estimate`, shared by every lane.
+
+    Returns
+    -------
+    list
+        Per lane the :class:`EstimationResult`, or the ``LinAlgError`` or
+        ``ValueError`` that ``apn_estimate`` would raise on that lane;
+        one lane's failure leaves the others as they are.  Any other
+        exception propagates.
+    """
+    target = _normalize_target(target)
+    opts = options or NewtonOptions()
+    if target == "sml-red":
+        opts = dataclasses.replace(opts, hessian_mode="reduced")
+    covariances = list(covariances)
+    for rz in covariances:
+        if not isinstance(rz, SampleCovariance):
+            raise TypeError("covariances must be SampleCovariance objects")
+        if rz.m != geometry.m:
+            raise ValueError("covariance size does not match the geometry")
     if not (1 <= k < geometry.m):
         raise ValueError("need 1 <= k < M")
     grid, r_excl = _line_search(geometry, grid_size, exclusion_radius)
-
-    rz = z
     m = geometry.m
-    points = _Workspaces(rz, geometry)
+    points = _Workspaces(covariances, geometry)
+    starts = [None] * len(covariances) if starts is None else list(starts)
+    results: list = [None] * len(covariances)
 
     # -- stage 1: insertion line searches + uniform Newton refinement -----
-    if start is None:
-        start = _stage1(points, k, opts, grid, r_excl)
-    else:
-        _check_start(start, rz, geometry, k, opts, grid, r_excl)
-    theta = start.theta
-    stage1 = start.stage1
-    theta_initial = theta.copy()
+    for i, start in enumerate(starts):
+        if start is not None:
+            try:
+                _check_start(start, covariances[i], geometry, k, opts, grid, r_excl)
+            except ValueError as exc:
+                results[i] = exc
+    need = np.array([i for i, st in enumerate(starts) if st is None], dtype=int)
+    if need.size:
+        for i, st in _stage1(points, need, k, opts, grid, r_excl).items():
+            if isinstance(st, Exception):
+                results[i] = st
+            else:
+                starts[i] = st
+    lanes = np.array([i for i, r in enumerate(results) if r is None], dtype=int)
+    if not lanes.size:
+        return results
+    theta = np.array([starts[i].theta for i in lanes])
+
+    def flops(i, stage3):
+        return flop_model.pipeline_flop_estimate(
+            m, k, starts[i].stage1, stage3, target, n_snapshots=covariances[i].n_snapshots
+        )
 
     if target == "dmlo":
-        flop_est = flop_model.pipeline_flop_estimate(
-            m, k, stage1, None, target, n_snapshots=rz.n_snapshots
-        )
-        return EstimationResult(
-            target=target,
-            theta=theta.copy(),
-            lam=None,
-            cost=points.uniform_cost(theta),
-            converged=start.converged,
-            diverged_lambda=False,
-            theta_initial=theta_initial,
-            lam_initial=None,
-            stage1=stage1,
-            stage3=None,
-            flop_estimate=flop_est,
-            start=start,
-        )
+        costs = _lane_costs(*points.at(lanes, theta, points.ones(len(lanes))), cost_dml_uniform)
+        for j, i in enumerate(lanes):
+            results[i] = EstimationResult(
+                target=target,
+                theta=theta[j].copy(),
+                lam=None,
+                cost=float(costs[j]),
+                converged=starts[i].converged,
+                diverged_lambda=False,
+                theta_initial=theta[j].copy(),
+                lam_initial=None,
+                stage1=starts[i].stage1,
+                stage3=None,
+                flop_estimate=flops(i, None),
+                start=starts[i],
+            )
+        return results
 
     # -- stage 2: noise initialization ------------------------------------
-    lam0 = init_noise(rz, points.at(theta, points.ones).projector())
+    ws, ok = points.at(lanes, theta, points.ones(len(lanes)))
+    proj = None if ws is None else ws.projector() if ws.stacked else ws.projector()[None]
+    ok = np.ones(len(lanes), dtype=bool) if ok is None else ok
+    rows = np.cumsum(ok) - 1
+    lam0 = {}
+    for j, i in enumerate(lanes):
+        try:
+            if not ok[j] or not (ws.all_full_rank or ws.full_rank[rows[j]]):
+                # the lane's own build raises its error
+                build_workspace(covariances[i], steering_set(geometry, theta[j]), np.ones(m))
+            lam0[i] = init_noise(covariances[i], proj[rows[j]])
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            results[i] = exc
+    keep = np.array([i in lam0 for i in lanes], dtype=bool)
+    lanes, theta = lanes[keep], theta[keep]
 
     # -- stage 3: joint or alternating Newton ------------------------------
     which = "D" if target.startswith("dml") else "S"
     reduced = opts.hessian_mode == "reduced"
     cost_of = cost_dml if which == "D" else cost_sml
 
-    def cost_at(theta, lam):
-        try:
-            return cost_of(points.at(theta, lam))
-        except (RankDeficiencyError, IndefiniteCovarianceError, ValueError):
-            return -np.inf
+    def derivatives(ws, block=None):
+        return grad_hess(ws, which, reduced, block=block)
 
-    def grad_hess_at(theta, lam, block=None):
-        return grad_hess(points.at(theta, lam, hold=True), which, reduced, block=block)
-
+    finals = []
     if target in ("dml", "sml", "sml-red"):
         positive = np.zeros(k + m, dtype=bool)
         positive[k:] = True
-        out = newton_maximize(
-            lambda x: cost_at(x[:k], x[k:]),
-            lambda x: grad_hess_at(x[:k], x[k:]),
-            np.concatenate([theta, lam0]),
-            opts,
-            positive=positive,
-        )
-        x_fin = out.x
-        stage3 = _stage_counts(out)
-        converged = out.converged
-        diverged = out.diverged
-        cost = out.cost
-        note = out.note
+        x0 = np.concatenate([theta, np.array([lam0[i] for i in lanes])], axis=1)
+        joint = _Problem(points, cost_of, derivatives, k=k, stochastic=which == "S")
+        for i, out in zip(lanes, _maximize(joint, x0, lanes, opts, positive=positive)):
+            if out.error is not None:
+                results[i] = out.error
+            else:
+                finals.append((i, out.x, _stage_counts(out), out.converged, out.diverged, out.cost, out.note))
     else:
-        x_fin, stage3, converged, diverged, cost, note = _alternating(
-            cost_at, grad_hess_at, theta, lam0, opts
-        )
+        # one lane at a time, each on a store of its own
+        for j, i in enumerate(lanes):
+            lane = _Problem(_Workspaces([covariances[i]], geometry), cost_of, derivatives)
+            try:
+                finals.append((i, *_alternating(lane.cost_at, lane.grad_hess_at, theta[j], lam0[i], opts)))
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                results[i] = exc
 
-    order = np.argsort(x_fin[:k])
-    theta_fin = x_fin[:k][order]
-    flop_est = flop_model.pipeline_flop_estimate(
-        m, k, stage1, stage3, target, n_snapshots=rz.n_snapshots
-    )
-    return EstimationResult(
-        target=target,
-        theta=theta_fin,
-        lam=x_fin[k:].copy(),
-        cost=cost,
-        converged=converged,
-        diverged_lambda=diverged,
-        theta_initial=theta_initial,
-        lam_initial=lam0,
-        stage1=stage1,
-        stage3=stage3,
-        flop_estimate=flop_est,
-        note=note,
-        start=start,
-    )
+    for i, x_fin, stage3, converged, diverged, cost, note in finals:
+        order = np.argsort(x_fin[:k])
+        results[i] = EstimationResult(
+            target=target,
+            theta=x_fin[:k][order],
+            lam=x_fin[k:].copy(),
+            cost=cost,
+            converged=converged,
+            diverged_lambda=diverged,
+            theta_initial=starts[i].theta.copy(),
+            lam_initial=lam0[i],
+            stage1=starts[i].stage1,
+            stage3=stage3,
+            flop_estimate=flops(i, stage3),
+            note=note,
+            start=starts[i],
+        )
+    return results
 
 
 def _alternating(cost_at, grad_hess_at, theta, lam, opts: NewtonOptions):

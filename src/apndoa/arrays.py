@@ -89,28 +89,38 @@ class SteeringSet:
 
     @property
     def k(self) -> int:
-        return self.theta.size
+        return self.theta.shape[-1]
 
     @property
     def m(self) -> int:
-        return self.phi.shape[0]
+        return self.phi.shape[-2]
+
+
+def angles_valid(theta: np.ndarray) -> np.ndarray:
+    """Whether each row of ``theta`` (the last axis holds one set of
+    angles) is a valid angle set: sorted, it strictly increases inside
+    (-pi/2, pi/2).  NaN sorts last and fails the bound."""
+    s = np.sort(theta, axis=-1)
+    return (-_HALF_PI < s[..., 0]) & (s[..., -1] < _HALF_PI) & (s[..., 1:] > s[..., :-1]).all(axis=-1)
 
 
 def _check_angles(theta, m_sensors=None) -> np.ndarray:
-    t = np.asarray(theta, dtype=float).ravel()
-    if t.size < 1:
+    t = np.asarray(theta, dtype=float)
+    if t.ndim != 2:
+        t = t.ravel()
+    if t.shape[-1] < 1:
         raise ValueError("at least one angle is required")
-    # valid angles, sorted, strictly increase inside (-pi/2, pi/2); NaN
-    # sorts last and fails the bound.  Only a failure looks further, to
-    # name the rule that broke.
-    s = np.sort(t)
-    if not (-_HALF_PI < s[0] and s[-1] < _HALF_PI and (s[1:] > s[:-1]).all()):
+    # one test passes valid input (NaN fails the bounds); only a failure
+    # looks further, to name the rule that broke
+    s = np.sort(t, axis=-1)
+    lo, hi = (s[0], s[-1]) if t.ndim == 1 else (s[:, 0].min(), s[:, -1].max())
+    if not (-_HALF_PI < lo and hi < _HALF_PI and (s[..., 1:] > s[..., :-1]).all()):
         if not np.isfinite(t).all():
             raise ValueError("angles must be finite")
         if (np.abs(t) >= _HALF_PI).any():
             raise ValueError("angles must lie strictly inside (-pi/2, pi/2)")
         raise ValueError("angles must be pairwise distinct")
-    if m_sensors is not None and t.size > m_sensors:
+    if m_sensors is not None and t.shape[-1] > m_sensors:
         raise ValueError("more sources than sensors")
     return t
 
@@ -131,19 +141,21 @@ def steering_set(geometry: ArrayGeometry, theta) -> SteeringSet:
     geometry : ArrayGeometry
     theta : array_like
         K source angles, strictly inside (-pi/2, pi/2), pairwise distinct,
-        with K <= M.
+        with K <= M; or a (T, K) stack of such sets, one per lane.
 
     Returns
     -------
     SteeringSet
-        ``phi``, ``d1``, ``d2`` of shape (M, K).
+        ``phi``, ``d1``, ``d2`` of shape (M, K), or (T, M, K) for a stack;
+        each lane of a stack has the bits of its own call.
     """
     t = _check_angles(theta, geometry.m)
     jpp = 1j * np.pi * geometry.positions[:, None]
-    u = jpp * np.sin(t)
+    lane = (slice(None), None) if t.ndim == 2 else ()       # (T, K) -> (T, 1, K)
+    u = jpp * np.sin(t)[lane]
     phi = np.exp(u)
     # d/dt exp(j*pi*p*sin t) = (j*pi*p*cos t) * phi
-    a = jpp * np.cos(t)
+    a = jpp * np.cos(t)[lane]
     d1 = a * phi
     d2 = (a * a - u) * phi
     return SteeringSet(theta=t, phi=phi, d1=d1, d2=d2)
@@ -258,11 +270,13 @@ def scale_for_snr(geometry, theta, model, trend, snr_db: float) -> np.ndarray:
 
 
 def _check_noise(lam, m: int) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float).ravel()
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 2:
+        lam = lam.ravel()
     # one test passes valid input (NaN fails both bounds); only a failure
     # looks further, to name the rule that broke
-    if not (lam.size == m and 0.0 < lam.min() and lam.max() < np.inf):
-        if lam.size != m:
+    if not (lam.shape[-1] == m and 0.0 < lam.min() and lam.max() < np.inf):
+        if lam.shape[-1] != m:
             raise ValueError("noise profile length must match the sensor count")
         raise ValueError("noise parameters must be positive and finite")
     return lam

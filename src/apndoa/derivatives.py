@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import cho_solve, solve_upper
+from ._lapack import cho_solve, per_lane, solve_upper
 from .workspace import WhitenedWorkspace
 
 __all__ = [
@@ -148,11 +148,17 @@ def _kernel(ws: WhitenedWorkspace, which: str, reduced: bool, block: str | None)
     inv_lam = 1.0 / lam
     k, m = q.shape[-1], q.shape[-2]
     gd = gc = gld = glc = None
+    eye = np.eye(k, dtype=complex)
+    stacked = ws.stacked
     if want_c:
-        binv = cho_solve(ws._require_spd(), np.eye(k, dtype=complex))   # B^-1
+        factors = ws._require_spd()
+        binv = per_lane(cho_solve, factors, eye) if stacked else cho_solve(factors, eye)  # B^-1
 
     if want_t:
-        rinv = solve_upper(ws.r_factor, np.eye(k, dtype=complex))
+        if stacked:
+            rinv = per_lane(solve_upper, ws.r_factor, eye)
+        else:
+            rinv = solve_upper(ws.r_factor, eye)
         rih = _h(rinv)
         d1 = lam[..., :, None] * ws.steering.d1
         qhd = qh @ d1

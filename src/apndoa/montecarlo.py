@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .apn import TARGETS, EstimationResult, apn_estimate
+from .apn import TARGETS, EstimationResult, estimate_lanes
 from .arrays import (
     ArrayGeometry,
     DeterministicModel,
@@ -231,32 +231,15 @@ def match_angles(theta_true, theta_hat, method: str = "exhaustive"):
     return matched, (matched - t) ** 2
 
 
-def _run_estimator(config: ScenarioConfig, rz, estimator: str, snr_db: float, trial: int, start=None):
-    """One estimator's result on one batch (``None`` if it failed) and
-    its record.  APN estimators take stage 1 from ``start`` if given."""
+def _record(config: ScenarioConfig, estimator: str, snr_db: float, trial: int, res) -> TrialRecord:
+    """The record of one estimator's result on one batch: an
+    :class:`~apndoa.apn.EstimationResult`, a MUSIC result, or the
+    exception that stopped the run."""
     k = config.k
     t_true = np.sort(config.theta_true)
-    try:
-        if estimator == "music":
-            res = music_estimate(rz, config.geometry, k)
-            theta_hat, lam_hat = res.theta, None
-            it1 = it3 = 0
-            flops = 0.0  # subspace search is outside the flop model
-            converged = bool(res.found_all)
-            diverged = False
-            note = "" if res.found_all else "fewer than K separated peaks"
-        else:
-            res = apn_estimate(
-                rz, config.geometry, k, target=estimator, options=config.options, start=start
-            )
-            theta_hat, lam_hat = res.theta, res.lam
-            it1, it3 = res.iters_stage1, res.iters_stage3
-            flops = res.flop_estimate
-            converged, diverged = res.converged, res.diverged_lambda
-            note = res.note
-    except (np.linalg.LinAlgError, ValueError) as exc:  # record the failure, keep sweeping
+    if isinstance(res, Exception):
         nan = (math.nan,) * k
-        return None, TrialRecord(
+        return TrialRecord(
             snr_db=float(snr_db),
             trial=trial,
             estimator=estimator,
@@ -270,11 +253,24 @@ def _run_estimator(config: ScenarioConfig, rz, estimator: str, snr_db: float, tr
             converged=False,
             diverged_lambda=False,
             failed=True,
-            note=f"{type(exc).__name__}: {exc}",
+            note=f"{type(res).__name__}: {res}",
         )
+    if estimator == "music":
+        lam_hat = None
+        it1 = it3 = 0
+        flops = 0.0  # subspace search is outside the flop model
+        converged = bool(res.found_all)
+        diverged = False
+        note = "" if res.found_all else "fewer than K separated peaks"
+    else:
+        lam_hat = res.lam
+        it1, it3 = res.iters_stage1, res.iters_stage3
+        flops = res.flop_estimate
+        converged, diverged = res.converged, res.diverged_lambda
+        note = res.note
     method = "exhaustive" if k <= 5 else "greedy"
-    matched, sq = match_angles(t_true, theta_hat, method=method)
-    return res, TrialRecord(
+    matched, sq = match_angles(t_true, res.theta, method=method)
+    return TrialRecord(
         snr_db=float(snr_db),
         trial=trial,
         estimator=estimator,
@@ -287,24 +283,46 @@ def _run_estimator(config: ScenarioConfig, rz, estimator: str, snr_db: float, tr
         flop_estimate=float(flops),
         converged=bool(converged),
         diverged_lambda=bool(diverged),
+        note=note,
     )
 
 
-def _run_cell(config: ScenarioConfig, snr_index: int, trial: int, lam_true):
-    snr = config.snr_db[snr_index]
-    rng = stream_rng(config.seed, snr_index, trial)
-    z = synthesize(config.geometry, config.theta_true, config.source_model, lam_true, config.n_snapshots, rng)
-    rz = sample_covariance(z)
-    # every estimator sees the identical batch, and the APN estimators
-    # share the stage 1 of the first one that succeeds on it
-    records = []
-    start = None
+def _run_group(config: ScenarioConfig, keys, lam) -> list:
+    """The records of the (SNR index, trial) cells ``keys``, in key order
+    and, per cell, in estimator order.
+
+    Every cell's batch is drawn first; each APN estimator then runs on
+    all of them at once, one lane per cell (see
+    :func:`~apndoa.apn.estimate_lanes`), and the APN estimators share the
+    stage 1 of the first one that succeeds on a batch.
+    """
+    covariances = []
+    for si, t in keys:
+        rng = stream_rng(config.seed, si, t)
+        z = synthesize(config.geometry, config.theta_true, config.source_model, lam[si], config.n_snapshots, rng)
+        covariances.append(sample_covariance(z))
+    records = [[] for _ in keys]
+    starts = [None] * len(keys)
     for est in config.estimators:
-        res, record = _run_estimator(config, rz, est, snr, trial, start)
-        if start is None and isinstance(res, EstimationResult):
-            start = res.start
-        records.append(record)
-    return records
+        if est == "music":
+            results = []
+            for rz in covariances:
+                try:
+                    results.append(music_estimate(rz, config.geometry, config.k))
+                except (np.linalg.LinAlgError, ValueError) as exc:  # record the failure, keep sweeping
+                    results.append(exc)
+        else:
+            try:
+                results = estimate_lanes(
+                    covariances, config.geometry, config.k, target=est, options=config.options, starts=starts
+                )
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                results = [exc] * len(keys)
+        for j, ((si, t), res) in enumerate(zip(keys, results)):
+            records[j].append(_record(config, est, config.snr_db[si], t, res))
+            if starts[j] is None and isinstance(res, EstimationResult):
+                starts[j] = res.start
+    return [r for cell in records for r in cell]
 
 
 def aggregate(records) -> tuple:
@@ -347,17 +365,24 @@ def run_monte_carlo(config: ScenarioConfig, threads: int | None = None) -> Monte
 
     Each (SNR index, trial index) cell owns the random stream
     ``stream_rng(seed, snr_index, trial)``, synthesizes one batch, and
-    feeds it to every estimator in turn.  Stage 1 of the APN pipeline
-    (insertion and uniform-noise Newton) depends only on the batch, so it
-    runs once per cell, in the first APN estimator that succeeds, and the
-    later ones take its :class:`~apndoa.apn.UniformStart`; each record's
-    ``iters_stage1`` and ``flop_estimate`` stay that estimator's
-    standalone figures.  With ``threads`` > 1 the cells
-    are distributed over a thread pool; records are assembled in cell
-    order and aggregated order-insensitively, so results do not depend
-    on the worker count.  Estimator failures (``LinAlgError`` and
-    ``ValueError``) are recorded in their :class:`TrialRecord` and never
-    abort the sweep; any other exception is a bug and propagates.
+    feeds it to every estimator in turn.  The cells are split, in key
+    order, into one contiguous group per worker.  A group draws all its
+    batches, then runs each APN estimator on them at once as lanes, on
+    (T, M, K) steering and (T, M, M) covariance stacks over the group's
+    T cells (:func:`~apndoa.apn.estimate_lanes`); every lane's result is,
+    bit for bit, that of ``apn_estimate`` on its batch alone, so the
+    grouping never shows in the output.  Stage 1 of the APN pipeline
+    (insertion and uniform-noise Newton) depends only on the batch, so
+    it runs once per cell, in the first APN estimator that succeeds, and
+    the later ones take its :class:`~apndoa.apn.UniformStart`; each
+    record's ``iters_stage1`` and ``flop_estimate`` stay that
+    estimator's standalone figures.  With ``threads`` > 1 the groups run
+    on a thread pool; records are assembled in cell order and aggregated
+    order-insensitively, so results do not depend on the worker count.
+    Estimator failures (``LinAlgError`` and ``ValueError``) are recorded,
+    with the note the run would raise, in their :class:`TrialRecord` and
+    never abort the sweep or another lane; any other exception is a bug
+    and propagates.
     """
     workers = 1 if threads is None else int(threads)
     if workers < 1:
@@ -367,16 +392,17 @@ def run_monte_carlo(config: ScenarioConfig, threads: int | None = None) -> Monte
         for snr in config.snr_db
     ]
     keys = [(si, t) for si in range(len(config.snr_db)) for t in range(config.trials)]
+    size = -(-len(keys) // workers)
+    groups = [keys[i:i + size] for i in range(0, len(keys), size)]
 
-    def cell(key):
-        si, t = key
-        return _run_cell(config, si, t, lam[si])
+    def run(group):
+        return _run_group(config, group, lam)
 
-    if workers > 1:
+    if len(groups) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(cell, keys))
+            chunks = list(pool.map(run, groups))
     else:
-        chunks = [cell(key) for key in keys]
+        chunks = [run(group) for group in groups]
     records = tuple(r for chunk in chunks for r in chunk)
     return MonteCarloResult(records=records, aggregates=aggregate(records))
 

@@ -8,6 +8,12 @@ flagged positive (the noise parameters) are kept away from zero by
 capping the step so no entry loses more than a fixed factor per
 iteration, and a runaway of those coordinates is reported as
 divergence instead of being iterated into overflow.
+
+:func:`newton_lanes` runs T independent problems at once as lanes: one
+cost call per backtracking round and one derivative call per iteration
+cover every lane still running, while each lane keeps its own step,
+backtracking, termination and failure, and the outcome of its own run.
+:func:`newton_maximize` is the one-lane call of the same loop.
 """
 
 from __future__ import annotations
@@ -26,7 +32,10 @@ __all__ = [
     "NewtonOutcome",
     "modified_cholesky",
     "newton_maximize",
+    "newton_lanes",
 ]
+
+STALLED_NOTE = "line search found no ascent step"
 
 DIVERGED_NOTE = "positive-flagged coordinates diverged"
 
@@ -91,6 +100,8 @@ class NewtonOutcome:
     note: str = ""
     cost_trace: list = field(default_factory=list)
     pos_max_trace: list = field(default_factory=list)
+    # a lane of newton_lanes that failed: what newton_maximize raises
+    error: Exception | None = field(default=None, repr=False)
 
 
 def modified_cholesky(h: np.ndarray, scale: float = 1e-8):
@@ -184,77 +195,202 @@ def newton_maximize(
     changes quadratically in the step, so increments demanded by
     ``step_tol`` sit below the cost's floating-point resolution and
     further "strict increases" are rounding noise, not ascent.
+
+    This is one lane of :func:`newton_lanes`, whose outcome it returns,
+    or whose error it raises.
+    """
+
+    def costs(x, lanes):
+        return [cost_fn(x[0])]
+
+    def grad_hess(x, lanes):
+        try:
+            g, h = grad_hess_fn(x[0])
+        except (RankDeficiencyError, IndefiniteCovarianceError) as exc:
+            return None, None, {0: exc}
+        return [g], [h], {}
+
+    (out,) = newton_lanes(costs, grad_hess, [x0], options, positive)
+    if out.error is not None:
+        raise out.error
+    return out
+
+
+def newton_lanes(
+    cost_fn,
+    grad_hess_fn,
+    x0,
+    options: NewtonOptions | None = None,
+    positive: np.ndarray | None = None,
+) -> list:
+    """Damped Newton ascent of T costs at once, one per lane.
+
+    Each lane runs the iteration that :func:`newton_maximize` documents,
+    with the same arithmetic, so its outcome is that of its own run.
+    What the lanes share is the calls: the costs of every lane still
+    searching in one backtracking round come from one ``cost_fn`` call,
+    and the derivatives of every lane still iterating from one
+    ``grad_hess_fn`` call.  Lanes that have stopped are not evaluated.
+
+    Parameters
+    ----------
+    cost_fn : callable
+        ``cost_fn(x, lanes)`` maps the (L, n) rows ``x`` of the lanes
+        ``lanes`` (an index array into the T lanes) to L costs; ``-inf``
+        marks an infeasible point.
+    grad_hess_fn : callable
+        ``grad_hess_fn(x, lanes)`` returns ``(g, h, failed)``: per row a
+        gradient and Hessian, indexable by row, and ``failed``, a dict
+        from row to the rank-deficiency or indefiniteness error of the
+        rows whose derivatives could not be formed (their lanes stop
+        with a note; ``g`` and ``h`` may hold anything there).
+    x0 : array_like
+        (T, n) start points.
+    positive : ndarray of bool, optional
+        (n,) coordinates kept positive in every lane.
+
+    Returns
+    -------
+    list of NewtonOutcome
+        One per lane.  A lane whose run raises ``ValueError`` or
+        ``LinAlgError`` (a start that is not finite or not positive, a
+        non-finite gradient or Hessian) stops alone, with the exception
+        in its outcome's ``error``.
+
+    Notes
+    -----
+    The bookkeeping runs lane by lane on each lane's own vectors, as a
+    single run does, so one lane pays nothing for the batching; the
+    callbacks may keep the arrays they are given, which are never
+    written to afterwards.
     """
     opts = options or NewtonOptions()
-    x = np.array(x0, dtype=float, copy=True)
-    c = cost_fn(x)
-    if not math.isfinite(c):
-        raise ValueError("cost is not finite at the starting point")
-
-    out = NewtonOutcome(x=x, cost=c, n_cost_evals=1)
-    out.cost_trace.append(c)
-    pos = _positive_index(positive, x.shape)
-    if pos is not None:
-        if (x[pos] <= 0).any():
-            raise ValueError("positive-flagged coordinates must start positive")
-        pos_max0 = float(x[pos].max())
-        out.pos_max_trace.append(pos_max0)
-        pos_limit = opts.divergence_factor * pos_max0
-
-    for _ in range(opts.max_iters):
-        try:
-            g, h = grad_hess_fn(x)
-        except (RankDeficiencyError, IndefiniteCovarianceError) as exc:
-            out.note = f"derivative evaluation failed: {exc}"
-            break
-        out.n_grad_evals += 1
-        factor, _ = modified_cholesky(h)
-        g = np.asarray(g, dtype=float)
-        if not np.isfinite(g).all():
-            raise ValueError("gradient contains non-finite entries")
-        step = cho_solve(factor, g)
-
-        scale = np.maximum(1.0, np.abs(x))
-        if (np.abs(step) / scale).max() < opts.step_tol:
-            out.converged = True
-            break
-
+    x0 = np.array(x0, dtype=float, copy=True)
+    n_lanes, n = x0.shape
+    pos = _positive_index(positive, (n,))
+    lanes = [_Lane(i, x0[i], c) for i, c in enumerate(cost_fn(x0, np.arange(n_lanes)))]
+    running = []
+    for lane in lanes:
+        c = lane.c
+        if not math.isfinite(c):
+            lane.out.error = ValueError("cost is not finite at the starting point")
+            continue
+        lane.out.cost_trace.append(c)
         if pos is not None:
-            x_pos = x[pos]
-            floor = opts.lam_floor * x_pos
-            ceil = opts.lam_growth * x_pos
-        mu = 1.0
-        while mu >= opts.min_mu:
-            x_try = x + mu * step
-            if pos is not None:
-                # bound each step to a fixed factor per iteration,
-                # clamping only offenders
-                x_try[pos] = np.minimum(np.maximum(x_try[pos], floor), ceil)
-            c_try = cost_fn(x_try)
-            out.n_cost_evals += 1
-            if c < c_try < math.inf:            # a strict, finite increase
-                break
-            mu *= opts.backtrack
-        else:
-            out.note = out.note or "line search found no ascent step"
-            break
+            x_pos = lane.x[pos]
+            if (x_pos <= 0).any():
+                lane.out.error = ValueError("positive-flagged coordinates must start positive")
+                continue
+            pos_max0 = float(x_pos.max())
+            lane.out.pos_max_trace.append(pos_max0)
+            lane.pos_limit = opts.divergence_factor * pos_max0
+        running.append(lane)
 
-        moved = (np.abs(x_try - x) / scale).max()
-        gained = c_try - c
-        x, c = x_try, c_try
+    ids = np.arange(0)          # the lane numbers of running, remade when a lane stops
+    for _ in range(opts.max_iters):
+        if not running:
+            break
+        if len(ids) != len(running):
+            ids = np.array([lane.i for lane in running])
+        g, h, failed = grad_hess_fn(_rows([lane.x for lane in running]), ids)
+        searching = []
+        for j, lane in enumerate(running):
+            out = lane.out
+            if failed and j in failed:
+                out.note = f"derivative evaluation failed: {failed[j]}"
+                continue
+            out.n_grad_evals += 1
+            try:
+                factor, _ = modified_cholesky(h[j])
+                g_j = np.asarray(g[j], dtype=float)
+                if not np.isfinite(g_j).all():
+                    raise ValueError("gradient contains non-finite entries")
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                out.error = exc
+                continue
+            step = cho_solve(factor, g_j)
+            x = lane.x
+            scale = np.maximum(1.0, np.abs(x))
+            if (np.abs(step) / scale).max() < opts.step_tol:
+                out.converged = True
+                continue
+            if pos is not None:
+                x_pos = x[pos]
+                lane.floor = opts.lam_floor * x_pos
+                lane.ceil = opts.lam_growth * x_pos
+            lane.step, lane.scale, lane.mu = step, scale, 1.0
+            searching.append(lane)
+
+        running = []
+        late = False            # whether a lane took a step after the first round
+        while searching:
+            # every lane's trial points are those of its own run
+            for lane in searching:
+                x_try = lane.x + lane.mu * lane.step
+                if pos is not None:
+                    # bound each step to a fixed factor per iteration,
+                    # clamping only offenders
+                    x_try[pos] = np.minimum(np.maximum(x_try[pos], lane.floor), lane.ceil)
+                lane.x_try = x_try
+            rows = ids if len(searching) == len(ids) else np.array([lane.i for lane in searching])
+            c_try = cost_fn(_rows([lane.x_try for lane in searching]), rows)
+            still = []
+            for lane, c in zip(searching, c_try):
+                out = lane.out
+                out.n_cost_evals += 1
+                if lane.c < c < math.inf:            # a strict, finite increase
+                    if lane.accept(c, opts, pos):
+                        running.append(lane)
+                        late = late or lane.mu < 1.0
+                    continue
+                lane.mu *= opts.backtrack
+                if lane.mu >= opts.min_mu:
+                    still.append(lane)
+                else:
+                    out.note = out.note or STALLED_NOTE
+            searching = still
+        if late:
+            running.sort(key=_Lane.key)
+
+    for lane in lanes:
+        lane.out.x, lane.out.cost = lane.x, lane.c
+    return [lane.out for lane in lanes]
+
+
+class _Lane:
+    """The state of one lane of :func:`newton_lanes`."""
+
+    __slots__ = ("i", "x", "c", "out", "pos_limit", "step", "scale", "mu", "floor", "ceil", "x_try")
+
+    def __init__(self, i, x, c):
+        self.i, self.x, self.c = i, x, c
+        self.out = NewtonOutcome(x=x, cost=c, n_cost_evals=1)
+
+    def key(self):
+        return self.i
+
+    def accept(self, c, opts: NewtonOptions, pos) -> bool:
+        """Take the trial point with cost ``c``; whether the lane runs on."""
+        out = self.out
+        x_try = self.x_try
+        moved = (np.abs(x_try - self.x) / self.scale).max()
+        gained = c - self.c
+        self.x, self.c = x_try, c
         out.iterations += 1
         out.cost_trace.append(c)
         if pos is not None:
-            pos_max = float(x[pos].max())
+            pos_max = float(x_try[pos].max())
             out.pos_max_trace.append(pos_max)
-            if pos_max > pos_limit:
+            if pos_max > self.pos_limit:
                 out.diverged = True
                 out.note = DIVERGED_NOTE
-                break
+                return False
         if moved < opts.step_tol or gained < opts.cost_tol * (1.0 + abs(c)):
             out.converged = True
-            break
+            return False
+        return True
 
-    out.x = x
-    out.cost = c
-    return out
+
+def _rows(rows: list) -> np.ndarray:
+    """The lanes' vectors as the (L, n) rows of one array."""
+    return rows[0][None] if len(rows) == 1 else np.array(rows)

@@ -18,6 +18,15 @@ Cost conventions (all three are *maximized*):
 * ``cost_sml``: cost_dml + cost_lc where ``cost_lc = -N log|C|`` and
   ``C = I - P + P R_zl P`` is evaluated through the K x K compression
   ``|C| = |Q^H R_zl Q|``.
+
+Lanes.  A workspace may hold a (T, ...) stack of T points, one per
+lane, each with its own covariance: see :func:`build_workspace`.  Every
+lane of a stack has the bits of the unstacked workspace at its point.
+On a stack the costs return one value per lane, and a lane whose point
+is infeasible (rank-deficient steering, or for the stochastic cost a
+compressed covariance that is not positive definite) reads ``-inf``
+instead of raising, so that one lane cannot stop the others.  Each cost
+is kept on its workspace once made.
 """
 
 from __future__ import annotations
@@ -56,29 +65,63 @@ class IndefiniteCovarianceError(np.linalg.LinAlgError):
     """Compressed covariance Q^H R_zl Q is not positive definite."""
 
 
+def rank_error() -> RankDeficiencyError:
+    return RankDeficiencyError("whitened steering matrix is numerically rank deficient")
+
+
+def spd_error() -> IndefiniteCovarianceError:
+    return IndefiniteCovarianceError("compressed covariance Q^H R_zl Q is not positive definite")
+
+
 @dataclass(frozen=True)
 class SampleCovariance:
-    """Sample covariance R_z = (1/N) Z Z^H together with the snapshot count."""
+    """Sample covariance R_z = (1/N) Z Z^H together with the snapshot count.
+
+    ``matrix`` is M x M, or a (T, M, M) stack of T lanes' covariances
+    with one snapshot count (see :meth:`stack`).
+    """
 
     matrix: np.ndarray
     n_snapshots: int
 
     def __post_init__(self):
         r = np.asarray(self.matrix, dtype=complex)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        if r.ndim not in (2, 3) or r.shape[-2] != r.shape[-1]:
             raise ValueError("covariance must be square")
         if self.n_snapshots < 1:
             raise ValueError("snapshot count must be positive")
         if not np.isfinite(r).all():
             raise ValueError("covariance has non-finite (NaN or Inf) entries")
         scale = max(np.abs(r).max(), 1.0)
-        if np.abs(r - r.conj().T).max() > 1e-12 * scale:
+        if np.abs(r - r.conj().mT).max() > 1e-12 * scale:
             raise ValueError("covariance must be Hermitian")
         object.__setattr__(self, "matrix", r)
 
     @property
     def m(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
+
+    @classmethod
+    def stack(cls, covariances) -> "SampleCovariance":
+        """The (T, M, M) stack of T validated covariances of one size and
+        snapshot count."""
+        covariances = list(covariances)
+        n = covariances[0].n_snapshots
+        if any(c.n_snapshots != n for c in covariances):
+            raise ValueError("stacked covariances must share one snapshot count")
+        return cls._trusted(np.stack([c.matrix for c in covariances]), n)
+
+    def lanes(self, idx) -> "SampleCovariance":
+        """The sub-stack of the lanes ``idx`` of a stack."""
+        return self._trusted(self.matrix[idx], self.n_snapshots)
+
+    @classmethod
+    def _trusted(cls, matrix, n):
+        # lanes of covariances validated when they were made
+        out = object.__new__(cls)
+        object.__setattr__(out, "matrix", matrix)
+        object.__setattr__(out, "n_snapshots", n)
+        return out
 
 
 def sample_covariance(z: np.ndarray) -> SampleCovariance:
@@ -109,6 +152,10 @@ class WhitenedWorkspace:
     exists only if ``b`` is positive definite, and ``m_zl``, ``p_z``,
     ``logdet_c`` and ``b_solve`` raise :class:`IndefiniteCovarianceError`
     otherwise.  The deterministic cost path never touches it.
+
+    A stack of T lanes has a leading (T,) axis on every array field;
+    ``full_rank`` then marks the lanes whose steering passed the rank
+    check, and the properties above are for unstacked workspaces only.
     """
 
     steering: SteeringSet
@@ -123,23 +170,51 @@ class WhitenedWorkspace:
     qh: np.ndarray             # Q^H, K x M
     qh_r: np.ndarray           # Q^H R_zl, K x M
     b: np.ndarray              # compressed covariance Q^H R_zl Q, K x K
-    _b_chol: tuple | None = field(default=None, init=False, repr=False)
+    full_rank: np.ndarray | bool = True
+    all_full_rank: bool = True
+    # the Cholesky factor of b; for a stack a list of them, None where b is
+    # not positive definite
+    _b_chol: tuple | list | None = field(default=None, init=False, repr=False)
     _b_error: Exception | None = field(default=None, init=False, repr=False)
     # the uniform-noise gradient and Hessian, which stage 1 asks for
     # together; made by one pass of apndoa.derivatives on first use
     _uniform: tuple | None = field(default=None, init=False, repr=False)
+    # each cost by name, made on first use
+    _costs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
-        return self.phi.shape[0]
+        return self.phi.shape[-2]
 
     @property
     def k(self) -> int:
-        return self.phi.shape[1]
+        return self.phi.shape[-1]
 
     @property
     def theta(self) -> np.ndarray:
         return self.steering.theta
+
+    @property
+    def stacked(self) -> bool:
+        return self.phi.ndim == 3
+
+    def take(self, idx) -> "WhitenedWorkspace":
+        """The stack of the lanes ``idx`` of a stack, each lane with the
+        memory layout it had, and with its Cholesky factor if made."""
+        idx = np.arange(len(self.b))[idx]
+        chol = self._b_chol
+        if chol is not None:
+            chol = [chol[i] for i in idx]
+        return _restack([self], lambda arrays: arrays[0].take(idx, axis=0), chol)
+
+    @staticmethod
+    def join(parts) -> "WhitenedWorkspace":
+        """One stack of the lanes of the stacks ``parts``, in order, each
+        lane with the memory layout it had."""
+        chol = None
+        if all(p._b_chol is not None for p in parts):
+            chol = [f for p in parts for f in p._b_chol]
+        return _restack(parts, np.concatenate, chol)
 
     # -- derivative factors, evaluated on access ---------------------------
 
@@ -160,20 +235,32 @@ class WhitenedWorkspace:
         return rinv @ rinv.conj().T
 
     def projector(self) -> np.ndarray:
-        """Dense M x M projector Q Q^H (small M only; debugging and demos)."""
+        """Dense M x M projector Q Q^H, per lane of a stack (small M only)."""
         return self.q_factor @ self.qh
 
     # -- stochastic-path factors ------------------------------------------
 
+    def b_factors(self) -> list:
+        """The Cholesky factor of ``b`` per lane of a stack, ``None`` where
+        ``b`` is not positive definite; made once."""
+        if self._b_chol is None:
+            self._b_chol = [cholesky(x) for x in self.b]
+        return self._b_chol
+
     def _require_spd(self):
+        """The factor of an unstacked workspace, or the lanes' factors of a
+        stack; raises if any lane's ``b`` is not positive definite."""
         if self._b_error is not None:
             raise self._b_error
+        if self.phi.ndim == 3:
+            factors = self.b_factors()
+            if None in factors:
+                raise spd_error()
+            return factors
         if self._b_chol is None:
             chol = cholesky(self.b)
             if chol is None:
-                self._b_error = IndefiniteCovarianceError(
-                    "compressed covariance Q^H R_zl Q is not positive definite"
-                )
+                self._b_error = spd_error()
                 raise self._b_error
             self._b_chol = chol
         return self._b_chol
@@ -195,23 +282,64 @@ class WhitenedWorkspace:
         return self.q_factor @ self.b_solve(self.qh)
 
     @property
-    def logdet_c(self) -> float:
-        """log|C| with C = I - P + P R_zl P, via |C| = |Q^H R_zl Q|."""
-        chol = self._require_spd()
-        return 2.0 * float(np.log(chol[0].diagonal().real).sum())
+    def logdet_c(self):
+        """log|C| with C = I - P + P R_zl P, via |C| = |Q^H R_zl Q|; per
+        lane of a stack, ``+inf`` where ``b`` is not positive definite."""
+        if self.phi.ndim == 2:
+            chol = self._require_spd()
+            return 2.0 * float(np.log(chol[0].diagonal().real).sum())
+        # log and a sum over the last axis give each lane its own call's bits
+        diag = np.array([np.full(self.k, np.inf) if f is None else f[0].diagonal().real for f in self.b_factors()])
+        return 2.0 * np.log(diag).sum(axis=-1)
 
-    def trace_perp(self) -> float:
-        """tr{(I - P) R_zl} = tr{Q_perp^H R_zl Q_perp}.
+    def trace_perp(self):
+        """tr{(I - P) R_zl} = tr{Q_perp^H R_zl Q_perp}, per lane of a stack.
 
         A sum of M - K terms ``q^H R_zl q`` that are nonnegative for a
         positive semidefinite ``R_zl``.  The equal difference
         ``tr R_zl - tr B`` of two traces that grow with the largest
         lambda while the result does not loses the result to rounding
         once a lambda runs away: 9e-8 relative on a 40 dB batch where
-        one lambda had grown to 7e4.
+        one lambda had grown to 7e4.  ``np.vdot`` runs per lane: a batched
+        trace sums in another order.
         """
         qp = self.q_perp
-        return float(np.vdot(qp, self.r_zl @ qp).real)
+        rq = self.r_zl @ qp
+        if qp.ndim == 2:
+            return float(np.vdot(qp, rq).real)
+        return np.array([np.vdot(qp[i], rq[i]).real for i in range(len(qp))])
+
+
+# the array fields of a workspace stack, and those whose lanes are
+# Fortran-ordered; matrix products can round differently with the layout
+# of their operands, so a restacked lane keeps its layout
+_LANE_FIELDS = ("lam", "r_z", "phi", "q_factor", "r_factor", "r_zl", "qh_r", "b", "full_rank")
+_F_LANE_FIELDS = ("q_perp", "qh")
+
+
+def _restack(parts, pick, chol) -> WhitenedWorkspace:
+    """A workspace whose array fields are ``pick`` of the parts' arrays.
+    Assembled without the dataclass constructors, which cost more than
+    the copies at these sizes."""
+    fields = {name: pick([p.__dict__[name] for p in parts]) for name in _LANE_FIELDS}
+    for name in _F_LANE_FIELDS:
+        fields[name] = pick([p.__dict__[name].mT for p in parts]).mT
+    steering = object.__new__(SteeringSet)
+    steering.__dict__.update(
+        {name: pick([p.steering.__dict__[name] for p in parts]) for name in ("theta", "phi", "d1", "d2")}
+    )
+    ws = object.__new__(WhitenedWorkspace)
+    ws.__dict__.update(
+        fields,
+        steering=steering,
+        n_snapshots=parts[0].n_snapshots,
+        all_full_rank=bool(fields["full_rank"].all()),
+        _b_chol=chol,
+        _b_error=None,
+        _uniform=None,
+        _costs={},
+    )
+    return ws
 
 
 def build_workspace(
@@ -227,6 +355,13 @@ def build_workspace(
     ``b``.  Derivative factors are built on first use;
     see :class:`WhitenedWorkspace`.
 
+    A stack of T lanes takes a (T, M, M) ``r_z`` (see
+    :meth:`SampleCovariance.stack`), a steering set of (T, K) angles and a
+    (T, M) ``lam``, and gives a workspace whose fields have a leading
+    (T,) axis; each lane has the bits of its own unstacked build.  A
+    stack does not raise for a rank-deficient lane but marks it in
+    ``full_rank``.
+
     Raises
     ------
     RankDeficiencyError
@@ -236,22 +371,24 @@ def build_workspace(
     """
     if not isinstance(r_z, SampleCovariance):
         raise TypeError("r_z must be a SampleCovariance")
-    m = steering.phi.shape[0]
-    if r_z.m != m:
+    m = steering.phi.shape[-2]
+    if r_z.m != m or r_z.matrix.shape[:-2] != steering.phi.shape[:-2]:
         raise ValueError("covariance size does not match the steering set")
     lam = _check_noise(lam, m)
+    if lam.shape[:-1] != steering.phi.shape[:-2]:
+        raise ValueError("noise profiles do not match the steering set")
 
-    phi = lam[:, None] * steering.phi
+    phi = lam[..., :, None] * steering.phi
     q, r, q_perp = complete_qr(phi)
-    diag = np.abs(r.diagonal())
-    if not diag.min() > RANK_RTOL * diag.max():
-        raise RankDeficiencyError(
-            "whitened steering matrix is numerically rank deficient"
-        )
+    diag = np.abs(r.diagonal(0, -2, -1))
+    full_rank = diag.min(axis=-1) > RANK_RTOL * diag.max(axis=-1)
+    all_full_rank = bool(full_rank if phi.ndim == 2 else full_rank.all())
+    if not (all_full_rank or phi.ndim == 3):
+        raise rank_error()
 
     # row/column scaling instead of dense diagonal products
-    r_zl = (lam[:, None] * r_z.matrix) * lam[None, :]
-    qh = q.conj().T
+    r_zl = (lam[..., :, None] * r_z.matrix) * lam[..., None, :]
+    qh = q.conj().mT
     qh_r = qh @ r_zl
     b = qh_r @ q
 
@@ -268,14 +405,44 @@ def build_workspace(
         qh=qh,
         qh_r=qh_r,
         b=b,
+        full_rank=full_rank,
+        all_full_rank=all_full_rank,
     )
 
 
-def _trace_cost(ws: WhitenedWorkspace) -> float:
+def _cached(ws: WhitenedWorkspace, name: str, cost):
+    """``cost(ws)``, kept on the workspace; a stack's infeasible lanes
+    read -inf."""
+    value = ws._costs.get(name)
+    if value is None:
+        value = cost(ws)
+        if not ws.all_full_rank:
+            value = np.where(ws.full_rank, value, -np.inf)
+        ws._costs[name] = value
+    return value
+
+
+def _trace_cost(ws: WhitenedWorkspace):
     return -ws.n_snapshots * ws.trace_perp()
 
 
-def cost_dml_uniform(ws: WhitenedWorkspace) -> float:
+def _dml(ws: WhitenedWorkspace):
+    if ws.phi.ndim == 2:
+        log_term = 2.0 * ws.n_snapshots * float(np.log(ws.lam).sum())
+    else:
+        log_term = 2.0 * ws.n_snapshots * np.log(ws.lam).sum(axis=-1)
+    return log_term + _trace_cost(ws)
+
+
+def _lc(ws: WhitenedWorkspace):
+    return -ws.n_snapshots * ws.logdet_c
+
+
+def _sml(ws: WhitenedWorkspace):
+    return _dml(ws) + _lc(ws)
+
+
+def cost_dml_uniform(ws: WhitenedWorkspace):
     """Uniform-noise deterministic cost -N tr{(I - P_o) R_z}.
 
     The workspace must have been built with lambda identically one; the
@@ -284,23 +451,22 @@ def cost_dml_uniform(ws: WhitenedWorkspace) -> float:
     """
     if (ws.lam != 1.0).any():
         raise ValueError("uniform cost requires a workspace with lambda == 1")
-    return _trace_cost(ws)
+    return _cached(ws, "uniform", _trace_cost)
 
 
-def cost_dml(ws: WhitenedWorkspace) -> float:
+def cost_dml(ws: WhitenedWorkspace):
     """Concentrated deterministic cost N(2 log|Lambda| - tr{(I-P) R_zl})."""
-    log_term = 2.0 * ws.n_snapshots * float(np.log(ws.lam).sum())
-    return log_term + _trace_cost(ws)
+    return _cached(ws, "dml", _dml)
 
 
-def cost_lc(ws: WhitenedWorkspace) -> float:
+def cost_lc(ws: WhitenedWorkspace):
     """Stochastic correction -N log|C|, C = I - P + P R_zl P."""
-    return -ws.n_snapshots * ws.logdet_c
+    return _cached(ws, "lc", _lc)
 
 
-def cost_sml(ws: WhitenedWorkspace) -> float:
+def cost_sml(ws: WhitenedWorkspace):
     """Concentrated stochastic cost, exactly cost_dml + cost_lc."""
-    return cost_dml(ws) + cost_lc(ws)
+    return _cached(ws, "sml", _sml)
 
 
 def concentrated_rs(ws: WhitenedWorkspace) -> np.ndarray:

@@ -284,7 +284,7 @@ def test_every_estimator_sees_the_same_batch(shared_sweeps, target):
 def test_stage1_runs_once_per_batch(monkeypatch):
     import apndoa.apn
 
-    calls = {"ap_add_angle": 0, "apn_estimate": 0}
+    calls = {"ap_add_angle": 0, "estimate_lanes": 0}
 
     def counting(module, name):
         fn = getattr(module, name)
@@ -296,10 +296,10 @@ def test_stage1_runs_once_per_batch(monkeypatch):
         monkeypatch.setattr(module, name, call)
 
     counting(apndoa.apn, "ap_add_angle")
-    counting(mc, "apn_estimate")
+    counting(mc, "estimate_lanes")
     cfg = tiny_config(estimators=("dmlo", "sml", "sml-red"), trials=1)
     run_monte_carlo(cfg)
-    assert calls == {"ap_add_angle": cfg.k, "apn_estimate": 3}
+    assert calls == {"ap_add_angle": cfg.k, "estimate_lanes": 3}
 
 
 def test_a_stage1_failure_fails_every_apn_estimator_alike(monkeypatch):
@@ -335,7 +335,7 @@ def test_failures_are_recorded_not_raised(monkeypatch):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("synthetic failure")
 
-    monkeypatch.setattr(mc, "apn_estimate", boom)
+    monkeypatch.setattr(mc, "estimate_lanes", boom)
     result = run_monte_carlo(tiny_config(estimators=("music", "sml")))
     sml = [r for r in result.records if r.estimator == "sml"]
     assert len(sml) == 2
@@ -355,7 +355,7 @@ def test_programming_errors_are_raised_not_recorded(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("synthetic bug")
 
-    monkeypatch.setattr(mc, "apn_estimate", broken)
+    monkeypatch.setattr(mc, "estimate_lanes", broken)
     with pytest.raises(TypeError, match="synthetic bug"):
         run_monte_carlo(tiny_config(estimators=("sml",)))
 
