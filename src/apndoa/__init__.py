@@ -46,6 +46,7 @@ from .newton import (
     NewtonOptions,
     NewtonOutcome,
     modified_cholesky,
+    newton_lanes,
     newton_maximize,
 )
 from .apn import (
@@ -56,6 +57,7 @@ from .apn import (
     ap_add_angle,
     apn_estimate,
     default_exclusion,
+    estimate_lanes,
     init_noise,
 )
 from .music import MusicOptions, MusicResult, music_estimate, music_spectrum

@@ -22,11 +22,6 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 __all__ = ["complete_qr", "solve_upper", "cholesky", "cho_solve", "per_lane"]
 
-# from this many lanes on, numpy's stacked QR (one gufunc call) beats a
-# loop of complete_qr calls: 27.6 against 39.6 us at five 11 x 3 lanes,
-# 21.1 against 16.2 us at two (2-core x86-64, OpenBLAS 0.3.31)
-STACKED_QR_LANES = 3
-
 (_ztrsm,) = get_blas_funcs(("trsm",), dtype=complex)
 _zgeqrf, _zungqr = get_lapack_funcs(("geqrf", "ungqr"), dtype=complex)
 _POTRF = {
@@ -59,20 +54,14 @@ def complete_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A (T, M, K) stack gives (T, ...) stacks whose lanes have the bits and
     the memory layout of their own calls (``q_perp``'s lanes are
-    Fortran-ordered); from :data:`STACKED_QR_LANES` lanes on they come
-    from one ``np.linalg.qr(mode="complete")`` call, which runs the same
-    two routines.
+    Fortran-ordered).  Two or more lanes come from one
+    ``np.linalg.qr(mode="complete")`` call, which runs the same two
+    routines: 27.6 us at five 11 x 3 lanes against 39.6 us for five
+    calls here (2-core x86-64, OpenBLAS 0.3.31).
     """
     if a.ndim == 3:
         if a.shape[0] == 1:
             return tuple(f[None] for f in complete_qr(a[0]))
-        if a.shape[0] < STACKED_QR_LANES:
-            lanes = [complete_qr(x) for x in a]
-            return (
-                np.stack([f[0] for f in lanes]),
-                np.stack([f[1] for f in lanes]),
-                np.stack([f[2].T for f in lanes]).mT,
-            )
         k = a.shape[-1]
         q, r = np.linalg.qr(a, mode="complete")
         return (

@@ -781,6 +781,8 @@ def estimate_lanes(
             results[i] = exc
     keep = np.array([i in lam0 for i in lanes], dtype=bool)
     lanes, theta = lanes[keep], theta[keep]
+    if not lanes.size:
+        return results
 
     # -- stage 3: joint or alternating Newton ------------------------------
     which = "D" if target.startswith("dml") else "S"

@@ -360,6 +360,144 @@ def test_programming_errors_are_raised_not_recorded(monkeypatch):
         run_monte_carlo(tiny_config(estimators=("sml",)))
 
 
+# -- lanes: each worker's cells run as lanes of one estimate ------------------
+
+LANE_GRID = dict(snr_db=(0.0, 40.0), trials=3)
+
+
+def cell_covariances(config):
+    """Every cell's sample covariance in key order, drawn as the sweep draws it."""
+    from apndoa import sample_covariance, scale_for_snr, stream_rng, synthesize
+
+    covs = []
+    for si, snr in enumerate(config.snr_db):
+        lam = scale_for_snr(config.geometry, config.theta_true, config.source_model, config.noise_trend, snr)
+        for t in range(config.trials):
+            z = synthesize(
+                config.geometry, config.theta_true, config.source_model, lam,
+                config.n_snapshots, stream_rng(config.seed, si, t),
+            )
+            covs.append(((si, t), sample_covariance(z)))
+    return covs
+
+
+def one_lane_records(config, covs=None):
+    """The records the sweep must give: each estimator run on each cell's
+    batch alone, through apn_estimate or music_estimate."""
+    from apndoa import apn_estimate, music_estimate
+
+    records = []
+    for (si, t), rz in covs or cell_covariances(config):
+        for est in config.estimators:
+            try:
+                if est == "music":
+                    res = music_estimate(rz, config.geometry, config.k)
+                else:
+                    res = apn_estimate(rz, config.geometry, config.k, target=est, options=config.options)
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                res = exc
+            records.append(mc._record(config, est, config.snr_db[si], t, res))
+    return records
+
+
+@pytest.mark.parametrize("order", SHARING_ORDERS, ids=["forward", "reversed"])
+def test_every_lane_record_is_its_one_lane_estimate(order):
+    """Sweeps of all seven estimators, on one worker (one group of six
+    lanes) and on four (groups of two), give every record the one-lane
+    estimate of its cell field by field: angles, lambda, flags, note,
+    iteration counts and flop estimate."""
+    config = tiny_config(estimators=order, **LANE_GRID)
+    expected = one_lane_records(config)
+    for threads in (1, 4):
+        assert list(run_monte_carlo(config, threads=threads).records) == expected
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_lane_results_are_the_one_lane_results(target):
+    """estimate_lanes gives each lane apn_estimate's result on it: cost,
+    stage counts and start values too, which the records do not carry."""
+    from apndoa import apn_estimate, estimate_lanes
+
+    config = tiny_config(**LANE_GRID)
+    covs = [rz for _, rz in cell_covariances(config)]
+    lanes = estimate_lanes(covs, config.geometry, config.k, target=target)
+    for rz, res in zip(covs, lanes):
+        alone = apn_estimate(rz, config.geometry, config.k, target=target)
+        assert res.theta.tobytes() == alone.theta.tobytes()
+        assert (res.lam is None) == (alone.lam is None)
+        if res.lam is not None:
+            assert res.lam.tobytes() == alone.lam.tobytes()
+            assert res.lam_initial.tobytes() == alone.lam_initial.tobytes()
+        assert res.theta_initial.tobytes() == alone.theta_initial.tobytes()
+        assert (res.cost, res.converged, res.diverged_lambda, res.note) == (
+            alone.cost, alone.converged, alone.diverged_lambda, alone.note
+        )
+        assert (res.stage1, res.stage3, res.flop_estimate) == (alone.stage1, alone.stage3, alone.flop_estimate)
+
+
+def test_a_raising_lane_fails_alone(monkeypatch):
+    """Patched to raise on one cell's covariance, in stage 1, in stage 2
+    or inside the joint Newton, a lane records the failure its one-lane
+    estimate raises, and every other record is unchanged."""
+    import apndoa.apn as apn
+
+    config = tiny_config(estimators=("music", "dmlo", "sml", "sml-red", "dml-alt"), **LANE_GRID)
+    n = len(config.estimators)
+    clean = run_monte_carlo(config).records
+    covs = cell_covariances(config)
+    insert, noise, derivatives = apn.ap_add_angle, apn.init_noise, apn.grad_hess
+    bad = {}                # stage -> the covariance matrix it fails on
+
+    def failing_insert(r_z, *args, **kwargs):
+        if "stage 1" in bad and np.array_equal(r_z.matrix, bad["stage 1"]):
+            raise ValueError("synthetic insertion failure")
+        return insert(r_z, *args, **kwargs)
+
+    def failing_noise(r_z, *args):
+        if "stage 2" in bad and np.array_equal(r_z.matrix, bad["stage 2"]):
+            raise np.linalg.LinAlgError("synthetic noise failure")
+        return noise(r_z, *args)
+
+    def failing_hessian(ws, *args, **kwargs):
+        g, h = derivatives(ws, *args, **kwargs)
+        if "stage 3" in bad:
+            # a non-finite Hessian in the lane of that covariance
+            lanes = ws.r_z.reshape((-1,) + ws.r_z.shape[-2:])
+            hit = [np.array_equal(r, bad["stage 3"]) for r in lanes]
+            h = h.reshape((len(lanes),) + h.shape[-2:]).copy()
+            h[hit] = np.nan
+            h = h.reshape(g.shape + g.shape[-1:])
+        return g, h
+
+    monkeypatch.setattr(apn, "ap_add_angle", failing_insert)
+    monkeypatch.setattr(apn, "init_noise", failing_noise)
+    monkeypatch.setattr(apn, "grad_hess", failing_hessian)
+    for stage, cell in (("stage 1", 4), ("stage 2", 2), ("stage 3", 1)):
+        bad.clear()
+        bad[stage] = covs[cell][1].matrix
+        records = run_monte_carlo(config).records
+        others = [i for i in range(len(records)) if i // n != cell]
+        assert [records[i] for i in others] == [clean[i] for i in others]
+        mine = records[cell * n:(cell + 1) * n]
+        expected = one_lane_records(config, covs[cell:cell + 1])
+        assert [r.failed for r in mine] == [r.failed for r in expected]
+        assert any(r.failed for r in mine)
+        assert [r.note for r in mine] == [r.note for r in expected]
+        assert [r for r in mine if not r.failed] == [r for r in expected if not r.failed]
+
+
+def test_a_stalled_run_keeps_its_note():
+    """The default sweep's sml run on its second 0 dB batch stalls; its
+    record says so, and so does the JSONL, while the CSV has no note."""
+    result = run_monte_carlo(benchmark_scenario(snr_db=(0.0,), trials=2, estimators=("sml",)))
+    stalled = result.records[1]
+    assert (stalled.snr_db, stalled.trial, stalled.converged) == (0.0, 1, False)
+    assert stalled.note == "line search found no ascent step"
+    buf = io.StringIO()
+    write_jsonl(result, buf)
+    assert read_jsonl(io.StringIO(buf.getvalue())).records[1].note == stalled.note
+
+
 def test_music_record_shape():
     result = run_monte_carlo(tiny_config(estimators=("music",), trials=1))
     (rec,) = result.records

@@ -14,6 +14,7 @@ from apndoa import (
     NewtonOutcome,
     RankDeficiencyError,
     modified_cholesky,
+    newton_lanes,
     newton_maximize,
 )
 
@@ -239,3 +240,122 @@ def test_max_iters_caps_the_run():
     out = newton_maximize(cost, gh, np.array([100.0]), NewtonOptions(max_iters=3))
     assert out.iterations == 3
     assert not out.converged
+
+
+# -- lanes ---------------------------------------------------------------------
+
+
+def lane_problems():
+    """Per lane a cost and its derivatives: quadratics in log coordinates
+    with different curvatures and starts, so the lanes take different
+    numbers of iterations; lane 2's trial points are all infeasible, so
+    it stalls while the others accept; lane 3's Hessian is indefinite,
+    which takes the shifted Cholesky factor."""
+    rng = np.random.default_rng(3)
+    problems = []
+    for lane in range(5):
+        a = rng.standard_normal((3, 3))
+        a = a @ a.T + (1.0 + 3.0 * lane) * np.eye(3)
+        x_star = np.exp(rng.standard_normal(3))
+        start = x_star * (1.0 + 4.0 * lane)
+        calls = {"n": 0}
+
+        def cost(x, a=a, x_star=x_star, lane=lane, calls=calls):
+            calls["n"] += 1
+            if lane == 2 and calls["n"] > 1:
+                return -np.inf
+            with np.errstate(invalid="ignore"):     # a step past zero is infeasible: NaN
+                d = np.log(x) - np.log(x_star)
+            return -float(d @ a @ d)
+
+        def gh(x, a=a, x_star=x_star, lane=lane):
+            d = np.log(x) - np.log(x_star)
+            h = -2.0 * a / np.outer(x, x)
+            if lane == 3:
+                h = h + 3.0 * np.abs(h).max() * np.diag([1.0, 0.0, 0.0])
+            return -2.0 * (a @ d) / x, h
+
+        problems.append((cost, gh, start, calls))
+    return problems
+
+
+def outcome_fields(out):
+    return (
+        out.x.tobytes(), out.cost, out.iterations, out.n_grad_evals, out.n_cost_evals,
+        out.converged, out.diverged, out.note, out.cost_trace, out.pos_max_trace,
+    )
+
+
+@pytest.mark.parametrize("positive", [None, np.ones(3, dtype=bool)])
+def test_each_lane_is_its_own_run(positive):
+    """One newton_lanes call over five lanes gives each lane the outcome of
+    its own newton_maximize run, bit for bit, although the lanes stop at
+    different iterations and one of them never finds an ascent step."""
+    alone = []
+    for cost, gh, start, calls in lane_problems():
+        alone.append(newton_maximize(cost, gh, start, positive=positive))
+    problems = lane_problems()
+    asked = []
+
+    def costs(x, lanes):
+        asked.append(len(lanes))
+        return [problems[i][0](row) for i, row in zip(lanes, x)]
+
+    def grad_hess(x, lanes):
+        pairs = [problems[i][1](row) for i, row in zip(lanes, x)]
+        return [g for g, _ in pairs], [h for _, h in pairs], {}
+
+    lanes = newton_lanes(costs, grad_hess, [p[2] for p in problems], positive=positive)
+    assert [outcome_fields(out) for out in lanes] == [outcome_fields(out) for out in alone]
+    iterations = sorted(out.iterations for out in alone)
+    assert iterations[0] < iterations[-1]
+    assert lanes[2].note == "line search found no ascent step" and lanes[2].iterations == 0
+    # a stopped lane is not evaluated again
+    assert sum(asked) == sum(out.n_cost_evals for out in alone)
+    assert max(asked) == 5 and min(asked) < 5
+
+
+def test_a_failing_lane_stops_alone():
+    """Errors stay in their lane: a start with an infeasible cost and a
+    gradient that turns non-finite give the lane the error its own run
+    raises, and a derivative failure its note; the other lanes run on."""
+
+    def cost(x):
+        return -float(x @ x)
+
+    def gh(x):
+        return -2.0 * x, -2.0 * np.eye(2)
+
+    def bad_gh(x):
+        return np.array([np.nan, 0.0]), -2.0 * np.eye(2)
+
+    def rank_gh(x):
+        raise RankDeficiencyError("angles coalesced")
+
+    per_lane = [(cost, gh), (lambda x: np.inf, gh), (cost, bad_gh), (cost, rank_gh)]
+    starts = np.array([[1.0, 2.0], [1.0, 1.0], [3.0, 1.0], [2.0, 2.0]])
+
+    def costs(x, lanes):
+        return [per_lane[i][0](row) for i, row in zip(lanes, x)]
+
+    def grad_hess(x, lanes):
+        g, h, failed = [], [], {}
+        for j, (i, row) in enumerate(zip(lanes, x)):
+            try:
+                g_i, h_i = per_lane[i][1](row)
+            except RankDeficiencyError as exc:
+                failed[j] = exc
+                g_i = h_i = None
+            g.append(g_i)
+            h.append(h_i)
+        return g, h, failed
+
+    outs = newton_lanes(costs, grad_hess, starts)
+    assert outs[0].error is None and outs[0].converged
+    assert outcome_fields(outs[0]) == outcome_fields(newton_maximize(cost, gh, starts[0]))
+    for i in (1, 2):
+        with pytest.raises(ValueError) as alone:
+            newton_maximize(per_lane[i][0], per_lane[i][1], starts[i])
+        assert isinstance(outs[i].error, ValueError) and str(outs[i].error) == str(alone.value)
+    assert outs[3].error is None
+    assert outcome_fields(outs[3]) == outcome_fields(newton_maximize(cost, rank_gh, starts[3]))

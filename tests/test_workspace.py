@@ -322,3 +322,56 @@ def test_costs_form_no_derivative_factor(monkeypatch):
     assert np.isfinite(cost_dml_uniform(ws))
     with pytest.raises(IndefiniteCovarianceError):
         cost_sml(ws)
+
+
+def test_each_cost_is_made_once_per_workspace(monkeypatch):
+    """A workspace keeps each cost it has made: a second call does no
+    linear algebra, and gives the same value, for one point and for a
+    stack of lanes."""
+    import apndoa.workspace
+
+    g, th, lam, z = make_instance(0)
+    rz = sample_covariance(z)
+    one = build_workspace(rz, steering_set(g, th), lam)
+    ones = build_workspace(rz, steering_set(g, th), np.ones(g.m))
+    stack = build_workspace(
+        SampleCovariance.stack([rz, rz]), steering_set(g, np.stack([th, th + 0.01])), np.stack([lam, lam])
+    )
+    costs = (cost_dml, cost_lc, cost_sml)
+    first = [cost(ws) for ws in (one, stack) for cost in costs] + [cost_dml_uniform(ones)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kept cost was made again")
+
+    monkeypatch.setattr(np, "vdot", refuse)
+    monkeypatch.setattr(np, "log", refuse)
+    monkeypatch.setattr(apndoa.workspace, "cholesky", refuse)
+    again = [cost(ws) for ws in (one, stack) for cost in costs] + [cost_dml_uniform(ones)]
+    assert [np.asarray(v).tobytes() for v in again] == [np.asarray(v).tobytes() for v in first]
+
+
+def test_a_stack_gives_each_lane_the_bits_of_its_own_workspace():
+    """Stacked builds, costs and derivatives equal the unstacked ones lane
+    by lane, bit for bit, including a rank-deficient lane, which reads
+    -inf instead of raising, and lanes taken and joined in another order."""
+    from apndoa.derivatives import grad_hess
+
+    g = ArrayGeometry.ula(11)
+    rng = np.random.default_rng(4)
+    covs = [sample_covariance(rng.standard_normal((11, 60)) + 1j * rng.standard_normal((11, 60))) for _ in range(4)]
+    theta = np.sort(rng.uniform(-1.2, 1.2, (4, 3)), axis=1)
+    theta[3] = [0.3, 0.3 + 1e-15, 0.9]                  # coalesced: rank deficient
+    lam = rng.uniform(0.5, 20.0, (4, 11))
+    stack = build_workspace(SampleCovariance.stack(covs), steering_set(g, theta), lam)
+    assert stack.full_rank.tolist() == [True, True, True, False]
+    assert cost_sml(stack)[3] == cost_dml(stack)[3] == -np.inf
+    for i in range(3):
+        ws = build_workspace(covs[i], steering_set(g, theta[i]), lam[i])
+        assert cost_dml(stack)[i] == cost_dml(ws) and cost_sml(stack)[i] == cost_sml(ws)
+    mixed = type(stack).join([stack.take([2, 0]), stack.take([1])])
+    for which in ("D", "S"):
+        for reduced in (False, True):
+            g3, h3 = grad_hess(mixed, which, reduced)
+            for row, i in enumerate((2, 0, 1)):
+                g1, h1 = grad_hess(build_workspace(covs[i], steering_set(g, theta[i]), lam[i]), which, reduced)
+                assert g3[row].tobytes() == g1.tobytes() and h3[row].tobytes() == h1.tobytes()
