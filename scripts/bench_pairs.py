@@ -1,6 +1,7 @@
 """Interleaved before/after runs of the benchmark, summarised to JSON.
 
     python3 scripts/bench_pairs.py --base HEAD~1 --seeds 301-310 --out BENCH_N.json
+    python3 scripts/bench_pairs.py --check-only --seeds 401-410
 
 Exports the ``--base`` revision with ``git archive`` into
 ``.bench_build/base`` and runs ``python3 apnbench/run.py`` there and in
@@ -12,6 +13,12 @@ the count of pairs in which the working tree did better, every run's
 values, and the environment (core count, Python, numpy, scipy and BLAS
 versions, ``OPENBLAS_NUM_THREADS``).  The exit code is 1 if any run
 failed.
+
+``--check-only`` times nothing: it runs ``apnbench/run.py --seconds 0``
+(the quality rounds and their checks only) in the working tree, at
+``--trace 0`` and ``--trace 1``, for every workload and seed, prints each
+failing run's ``failed op:`` and ``check failed:`` lines, and exits 1 if
+any run exits non-zero or fails an op.
 """
 
 from __future__ import annotations
@@ -50,9 +57,9 @@ def export_base(rev: str) -> Path:
     return BASE_DIR
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "apnbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
@@ -89,14 +96,35 @@ def environment() -> dict:
     }
 
 
+def check_only(workloads: list, seeds: list) -> int:
+    """Every workload and seed at trace 0 and 1, checks only, in the working tree."""
+    ok = True
+    for workload in workloads:
+        for seed in seeds:
+            for trace in (0, 1):
+                run = run_once(ROOT, workload, seed, 0, trace)
+                print(f"{workload} seed {seed} trace {trace}: exit {run['exit']}, "
+                      f"failed {run['failed']} of {run['attempted']}", flush=True)
+                for line in run["failed_ops"]:
+                    print(f"  {line}")
+                ok = ok and run["exit"] == 0 and run["failed"] == 0
+    return 0 if ok else 1
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", required=True, help="git revision to compare against")
+    ap.add_argument("--base", help="git revision to compare against")
     ap.add_argument("--seeds", required=True, type=parse_seeds)
-    ap.add_argument("--out", required=True, type=Path)
+    ap.add_argument("--out", type=Path)
+    ap.add_argument("--check-only", action="store_true",
+                    help="run the checks of every workload and seed, untimed, in the working tree only")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.check_only:
+        return check_only([w["name"] for w in spec["workloads"]], args.seeds)
+    if args.base is None or args.out is None:
+        ap.error("--base and --out are required unless --check-only is given")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     trees = {"base": export_base(args.base), "change": ROOT}

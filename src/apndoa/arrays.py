@@ -100,7 +100,8 @@ def angles_valid(theta: np.ndarray) -> np.ndarray:
     """Whether each row of ``theta`` (the last axis holds one set of
     angles) is a valid angle set: sorted, it strictly increases inside
     (-pi/2, pi/2).  NaN sorts last and fails the bound."""
-    return (np.abs(theta).max(axis=-1) < _HALF_PI) & (np.diff(np.sort(theta)) > 0.0).all(axis=-1)
+    s = np.sort(theta)
+    return (np.abs(theta).max(axis=-1) < _HALF_PI) & (s[..., 1:] > s[..., :-1]).all(axis=-1)
 
 
 def _check_angles(theta, m_sensors=None) -> np.ndarray:
@@ -111,7 +112,8 @@ def _check_angles(theta, m_sensors=None) -> np.ndarray:
         raise ValueError("at least one angle is required")
     # one test passes valid input (NaN fails the bound); only a failure
     # looks further, to name the rule that broke
-    if not (np.abs(t).max() < _HALF_PI and (np.diff(np.sort(t)) > 0.0).all()):
+    s = np.sort(t)
+    if not (np.abs(t).max() < _HALF_PI and (s[..., 1:] > s[..., :-1]).all()):
         if not np.isfinite(t).all():
             raise ValueError("angles must be finite")
         if (np.abs(t) >= _HALF_PI).any():

@@ -57,6 +57,12 @@ __all__ = [
 
 ESTIMATORS = TARGETS + ("music",)
 
+# most cells estimated at once as lanes of one group: a group holds about
+# 0.08 MB of workspaces per lane while its estimators run (1500 lanes
+# took the default scenario's sweep from 69 to 188 MB), and past a few
+# hundred lanes a larger group is no faster per lane
+MAX_LANES = 256
+
 # stream tags for the once-per-scenario draws; trial streams use
 # three-part keys so these two-part keys can never collide with them
 _SIGNAL_STREAM = 1
@@ -366,7 +372,8 @@ def run_monte_carlo(config: ScenarioConfig, threads: int | None = None) -> Monte
     Each (SNR index, trial index) cell owns the random stream
     ``stream_rng(seed, snr_index, trial)``, synthesizes one batch, and
     feeds it to every estimator in turn.  The cells are split, in key
-    order, into one contiguous group per worker.  A group draws all its
+    order, into one contiguous group per worker, of at most
+    :data:`MAX_LANES` cells (more make more groups).  A group draws all its
     batches, then runs each APN estimator on them at once as lanes, on
     (T, M, K) steering and (T, M, M) covariance stacks over the group's
     T cells (:func:`~apndoa.apn.estimate_lanes`); every lane's result is,
@@ -392,7 +399,7 @@ def run_monte_carlo(config: ScenarioConfig, threads: int | None = None) -> Monte
         for snr in config.snr_db
     ]
     keys = [(si, t) for si in range(len(config.snr_db)) for t in range(config.trials)]
-    size = -(-len(keys) // workers)
+    size = min(-(-len(keys) // workers), MAX_LANES)
     groups = [keys[i:i + size] for i in range(0, len(keys), size)]
 
     def run(group):

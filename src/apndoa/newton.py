@@ -210,7 +210,7 @@ def newton_maximize(
             return None, None, {0: exc}
         return [g], [h], {}
 
-    (out,) = newton_lanes(costs, grad_hess, [x0], options, positive)
+    (out,) = newton_lanes(costs, grad_hess, np.asarray(x0, dtype=float)[None], options, positive)
     if out.error is not None:
         raise out.error
     return out

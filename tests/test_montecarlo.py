@@ -412,6 +412,15 @@ def test_every_lane_record_is_its_one_lane_estimate(order):
         assert list(run_monte_carlo(config, threads=threads).records) == expected
 
 
+def test_capped_groups_give_the_same_records(monkeypatch):
+    """Groups of at most MAX_LANES cells (here 4 of 6) leave every record
+    as it is."""
+    config = tiny_config(estimators=("music", "dmlo", "sml", "sml-red"), **LANE_GRID)
+    whole = run_monte_carlo(config).records
+    monkeypatch.setattr(mc, "MAX_LANES", 4)
+    assert run_monte_carlo(config).records == whole
+
+
 @pytest.mark.parametrize("target", TARGETS)
 def test_lane_results_are_the_one_lane_results(target):
     """estimate_lanes gives each lane apn_estimate's result on it: cost,
