@@ -68,8 +68,6 @@ TARGETS = ("dmlo", "dml", "dml-alt", "sml", "sml-alt", "sml-red")
 
 _HALF_PI = np.pi / 2.0
 
-_NO_ROW = np.zeros(1, dtype=bool)   # the one row of a single lane has no workspace
-
 
 @dataclass(frozen=True)
 class StageCounts:
@@ -328,8 +326,6 @@ class _Workspaces:
         self.geometry = geometry
         self._last = [None] * len(covariances)     # (key, stack, row)
         self._held = [None] * len(covariances)
-        self._ones = {}
-        self.ones1 = np.ones(geometry.m)
 
     def at(self, lanes, theta: np.ndarray, lam: np.ndarray, hold: bool = False):
         """The stacked workspace at the rows of (theta, lam), one row per
@@ -396,7 +392,7 @@ class _Workspaces:
                 try:
                     ws = build_workspace(self.covariances[0], steering_set(self.geometry, theta), lam)
                 except (RankDeficiencyError, ValueError):     # the point is infeasible
-                    return None, _NO_ROW
+                    return None, np.zeros(1, dtype=bool)
                 entry = self._last[0] = (key, ws, None)
         if hold:
             self._held[0] = entry
@@ -404,10 +400,7 @@ class _Workspaces:
 
     def ones(self, n: int) -> np.ndarray:
         """(n, M) noise parameters equal to one, for the uniform cost."""
-        ones = self._ones.get(n)
-        if ones is None:
-            ones = self._ones[n] = np.ones((n, self.geometry.m))
-        return ones
+        return np.ones((n, self.geometry.m))
 
 
 class _Problem:
@@ -426,6 +419,7 @@ class _Problem:
         self.derivatives = derivatives
         self.k = k
         self.stochastic = stochastic
+        self.ones = np.ones(points.geometry.m)
 
     def _split(self, x):
         """(theta, lambda) rows of the (L, n) rows x."""
@@ -442,12 +436,12 @@ class _Problem:
 
     def cost(self, x) -> float:
         if self.k is None:
-            return self.cost_at(x, self.points.ones1)
+            return self.cost_at(x, self.ones)
         return self.cost_at(x[:self.k], x[self.k:])
 
     def grad_hess_one(self, x):
         if self.k is None:
-            return self.grad_hess_at(x, self.points.ones1)
+            return self.grad_hess_at(x, self.ones)
         return self.grad_hess_at(x[:self.k], x[self.k:])
 
     def cost_at(self, theta: np.ndarray, lam: np.ndarray) -> float:
@@ -649,10 +643,12 @@ def apn_estimate(
 
     Notes
     -----
-    This is the one-lane call of :func:`estimate_lanes`: its workspaces
-    are (1, ...) stacks, and it raises what that lane's result holds.
-    Cost and derivative calls at one (theta, lambda) point share one
-    workspace: see :class:`_Workspaces`.
+    This is the one-lane call of :func:`estimate_lanes`, which runs T
+    batches at once on (T, M, K) steering and (T, M, M) covariance
+    stacks; it raises the error that its lane's result holds.  A single
+    lane's workspaces are unstacked (M x K and M x M).  Cost and
+    derivative calls at one (theta, lambda) point share one workspace:
+    see :class:`_Workspaces`.
     """
     if not isinstance(z, SampleCovariance):
         z = np.asarray(z, dtype=complex)

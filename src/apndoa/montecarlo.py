@@ -137,9 +137,11 @@ class TrialRecord:
 
     ``theta_hat`` is permuted to the error-minimizing alignment with the
     ascending-sorted true angles, so ``sq_err[i]`` pairs ``theta_hat[i]``
-    with ``theta_true[i]``.  A failed run (a linear-algebra or value
+    with ``theta_true[i]``.  ``note`` is the run's termination note
+    (empty for a run that converged, "line search found no ascent step"
+    for a stall, and so on).  A failed run (a linear-algebra or value
     error out of the estimator) keeps NaN estimates and the error text
-    in ``note``; such failures never abort a sweep.
+    in ``note``; such failures never abort a sweep or another lane.
     """
 
     snr_db: float

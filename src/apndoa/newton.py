@@ -196,8 +196,9 @@ def newton_maximize(
     ``step_tol`` sit below the cost's floating-point resolution and
     further "strict increases" are rounding noise, not ascent.
 
-    This is one lane of :func:`newton_lanes`, whose outcome it returns,
-    or whose error it raises.
+    This is the one-lane call of :func:`newton_lanes`: ``x0`` becomes its
+    (1, n) start, the callbacks see that lane's (n,) vectors, and the
+    lane's outcome is returned, or its error raised.
     """
 
     def costs(x, lanes):
