@@ -110,10 +110,11 @@ def _check_angles(theta, m_sensors=None) -> np.ndarray:
         t = t.ravel()
     if t.shape[-1] < 1:
         raise ValueError("at least one angle is required")
-    # one test passes valid input (NaN fails the bound); only a failure
-    # looks further, to name the rule that broke
+    # one test passes valid input (a NaN sorts last and fails the bound or
+    # the order); only a failure looks further, to name the rule that broke
     s = np.sort(t)
-    if not (np.abs(t).max() < _HALF_PI and (s[..., 1:] > s[..., :-1]).all()):
+    hi = np.abs(t).max() if t.ndim == 2 else max(-s[0], s[-1])
+    if not (hi < _HALF_PI and (s[..., 1:] > s[..., :-1]).all()):
         if not np.isfinite(t).all():
             raise ValueError("angles must be finite")
         if (np.abs(t) >= _HALF_PI).any():

@@ -269,7 +269,8 @@ def newton_lanes(
     x0 = np.array(x0, dtype=float, copy=True)
     n_lanes, n = x0.shape
     pos = _positive_index(positive, (n,))
-    lanes = [_Lane(i, x0[i], c) for i, c in enumerate(cost_fn(x0, np.arange(n_lanes)))]
+    ids = np.arange(n_lanes)    # the lane numbers of running, remade when a lane stops
+    lanes = [_Lane(i, x0[i], c) for i, c in enumerate(cost_fn(x0, ids))]
     running = []
     for lane in lanes:
         c = lane.c
@@ -287,13 +288,12 @@ def newton_lanes(
             lane.pos_limit = opts.divergence_factor * pos_max0
         running.append(lane)
 
-    ids = np.arange(0)          # the lane numbers of running, remade when a lane stops
     for _ in range(opts.max_iters):
         if not running:
             break
         if len(ids) != len(running):
             ids = np.array([lane.i for lane in running])
-        g, h, failed = grad_hess_fn(_rows([lane.x for lane in running]), ids)
+        g, h, failed = grad_hess_fn(_rows(running, "x"), ids)
         searching = []
         for j, lane in enumerate(running):
             out = lane.out
@@ -334,7 +334,7 @@ def newton_lanes(
                     x_try[pos] = np.minimum(np.maximum(x_try[pos], lane.floor), lane.ceil)
                 lane.x_try = x_try
             rows = ids if len(searching) == len(ids) else np.array([lane.i for lane in searching])
-            c_try = cost_fn(_rows([lane.x_try for lane in searching]), rows)
+            c_try = cost_fn(_rows(searching, "x_try"), rows)
             still = []
             for lane, c in zip(searching, c_try):
                 out = lane.out
@@ -392,6 +392,8 @@ class _Lane:
         return True
 
 
-def _rows(rows: list) -> np.ndarray:
-    """The lanes' vectors as the (L, n) rows of one array."""
-    return rows[0][None] if len(rows) == 1 else np.array(rows)
+def _rows(lanes: list, name: str) -> np.ndarray:
+    """The lanes' vectors ``name`` as the (L, n) rows of one array."""
+    if len(lanes) == 1:
+        return getattr(lanes[0], name)[None]
+    return np.array([getattr(lane, name) for lane in lanes])
