@@ -351,7 +351,7 @@ def newton_lanes(
                     out.note = out.note or STALLED_NOTE
             searching = still
         if late:
-            running.sort(key=_Lane.key)
+            running.sort(key=lambda lane: lane.i)
 
     for lane in lanes:
         lane.out.x, lane.out.cost = lane.x, lane.c
@@ -366,9 +366,6 @@ class _Lane:
     def __init__(self, i, x, c):
         self.i, self.x, self.c = i, x, c
         self.out = NewtonOutcome(x=x, cost=c, n_cost_evals=1)
-
-    def key(self):
-        return self.i
 
     def accept(self, c, opts: NewtonOptions, pos) -> bool:
         """Take the trial point with cost ``c``; whether the lane runs on."""
