@@ -522,9 +522,9 @@ def _derivatives(ws, ok, evaluate, stochastic: bool = False):
 
 def _maximize(problem: _Problem, x0: np.ndarray, lanes: np.ndarray, opts: NewtonOptions, positive=None):
     """Newton over the rows of ``x0``, which belong to ``lanes``.  A store
-    of a single lane runs through :func:`newton_maximize`, the one-lane
-    call of :func:`newton_lanes`, whose error it keeps in the outcome as
-    a lane of the other would."""
+    of a single lane runs through :func:`newton_maximize`, which drives
+    the same ascent as :func:`newton_lanes` with direct calls; its error
+    is kept in the outcome, as a lane of the other would keep it."""
     if not problem.points.single:
         return newton_lanes(
             lambda x, rows: problem.costs(x, lanes[rows]),

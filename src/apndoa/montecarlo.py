@@ -58,9 +58,10 @@ __all__ = [
 ESTIMATORS = TARGETS + ("music",)
 
 # most cells estimated at once as lanes of one group: a group holds about
-# 0.08 MB of workspaces per lane while its estimators run (1500 lanes
-# took the default scenario's sweep from 69 to 188 MB), and past a few
-# hundred lanes a larger group is no faster per lane
+# 0.13 MB of workspaces per lane while its estimators run (a 1500-cell
+# sweep of the benchmark scenario peaked at 258 MB in one group, 101 MB in
+# groups of 256, 69 MB one cell at a time), and past a few hundred lanes a
+# larger group is no faster per lane (4.1 s in one group, 3.7 s in 256s)
 MAX_LANES = 256
 
 # stream tags for the once-per-scenario draws; trial streams use

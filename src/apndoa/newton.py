@@ -9,11 +9,13 @@ capping the step so no entry loses more than a fixed factor per
 iteration, and a runaway of those coordinates is reported as
 divergence instead of being iterated into overflow.
 
-:func:`newton_lanes` runs T independent problems at once as lanes: one
-cost call per backtracking round and one derivative call per iteration
-cover every lane still running, while each lane keeps its own step,
+One ascent is written once, as the generator :func:`_ascent`, which asks
+for costs and derivatives instead of calling for them.
+:func:`newton_maximize` answers one run's requests with direct calls;
+:func:`newton_lanes` runs T independent problems at once as lanes and
+answers, at each step, every lane's derivative requests with one call
+and its cost requests with another, while each lane keeps its own step,
 backtracking, termination and failure, and the outcome of its own run.
-:func:`newton_maximize` is the one-lane call of the same loop.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ class NewtonOutcome:
     note: str = ""
     cost_trace: list = field(default_factory=list)
     pos_max_trace: list = field(default_factory=list)
-    # a lane of newton_lanes that failed: what newton_maximize raises
+    # a lane of newton_lanes that failed: the error its newton_maximize
+    # run would raise
     error: Exception | None = field(default=None, repr=False)
 
 
@@ -196,25 +199,26 @@ def newton_maximize(
     ``step_tol`` sit below the cost's floating-point resolution and
     further "strict increases" are rounding noise, not ascent.
 
-    This is the one-lane call of :func:`newton_lanes`: ``x0`` becomes its
-    (1, n) start, the callbacks see that lane's (n,) vectors, and the
-    lane's outcome is returned, or its error raised.
+    This is one lane of :func:`newton_lanes`: both drive the same
+    iteration, :func:`_ascent`, here with direct calls to the callbacks.
     """
-
-    def costs(x, lanes):
-        return [cost_fn(x[0])]
-
-    def grad_hess(x, lanes):
+    opts = options or NewtonOptions()
+    x = np.array(x0, dtype=float, copy=True)
+    run = _ascent(x, opts, _positive_index(positive, x.shape))
+    kind, x = next(run)
+    while True:
         try:
-            g, h = grad_hess_fn(x[0])
-        except (RankDeficiencyError, IndefiniteCovarianceError) as exc:
-            return None, None, {0: exc}
-        return [g], [h], {}
-
-    (out,) = newton_lanes(costs, grad_hess, np.asarray(x0, dtype=float)[None], options, positive)
-    if out.error is not None:
-        raise out.error
-    return out
+            if kind is _COST:
+                kind, x = run.send(cost_fn(x))
+                continue
+            try:
+                value = grad_hess_fn(x)
+            except (RankDeficiencyError, IndefiniteCovarianceError) as exc:
+                kind, x = run.throw(exc)
+            else:
+                kind, x = run.send(value)
+        except StopIteration as stop:
+            return stop.value
 
 
 def newton_lanes(
@@ -226,12 +230,12 @@ def newton_lanes(
 ) -> list:
     """Damped Newton ascent of T costs at once, one per lane.
 
-    Each lane runs the iteration that :func:`newton_maximize` documents,
-    with the same arithmetic, so its outcome is that of its own run.
-    What the lanes share is the calls: the costs of every lane still
-    searching in one backtracking round come from one ``cost_fn`` call,
-    and the derivatives of every lane still iterating from one
-    ``grad_hess_fn`` call.  Lanes that have stopped are not evaluated.
+    Each lane runs the iteration of :func:`newton_maximize` (the same
+    :func:`_ascent`), so its outcome is that of its own run, bit for bit.
+    What the lanes share is the calls: at each step, one ``grad_hess_fn``
+    call serves every lane that asks for derivatives and one ``cost_fn``
+    call every lane that asks for a cost, whether for a first trial point
+    or a shorter one.  Lanes that have stopped are not evaluated.
 
     Parameters
     ----------
@@ -256,141 +260,121 @@ def newton_lanes(
         One per lane.  A lane whose run raises ``ValueError`` or
         ``LinAlgError`` (a start that is not finite or not positive, a
         non-finite gradient or Hessian) stops alone, with the exception
-        in its outcome's ``error``.
-
-    Notes
-    -----
-    The bookkeeping runs lane by lane on each lane's own vectors, as a
-    single run does, so one lane pays nothing for the batching; the
-    callbacks may keep the arrays they are given, which are never
-    written to afterwards.
+        in its outcome's ``error``.  The callbacks may keep the arrays
+        they are given, which are never written to afterwards.
     """
     opts = options or NewtonOptions()
     x0 = np.array(x0, dtype=float, copy=True)
-    n_lanes, n = x0.shape
-    pos = _positive_index(positive, (n,))
-    ids = np.arange(n_lanes)    # the lane numbers of running, remade when a lane stops
-    lanes = [_Lane(i, x0[i], c) for i, c in enumerate(cost_fn(x0, ids))]
-    running = []
-    for lane in lanes:
-        c = lane.c
-        if not math.isfinite(c):
-            lane.out.error = ValueError("cost is not finite at the starting point")
-            continue
-        lane.out.cost_trace.append(c)
-        if pos is not None:
-            x_pos = lane.x[pos]
-            if (x_pos <= 0).any():
-                lane.out.error = ValueError("positive-flagged coordinates must start positive")
+    pos = _positive_index(positive, x0.shape[1:])
+    runs = [_ascent(x, opts, pos) for x in x0]
+    asks = {i: next(run) for i, run in enumerate(runs)}     # lane -> (kind, x)
+    outs = [None] * len(runs)
+    while asks:
+        for kind in (_DERIVATIVES, _COST):
+            lanes = [i for i, ask in asks.items() if ask[0] is kind]
+            if not lanes:
                 continue
-            pos_max0 = float(x_pos.max())
-            lane.out.pos_max_trace.append(pos_max0)
-            lane.pos_limit = opts.divergence_factor * pos_max0
-        running.append(lane)
+            x = _rows([asks[i][1] for i in lanes])
+            if kind is _COST:
+                replies = [(c, None) for c in cost_fn(x, np.array(lanes))]
+            else:
+                g, h, failed = grad_hess_fn(x, np.array(lanes))
+                replies = [((g[j], h[j]), failed.get(j)) for j in range(len(lanes))]
+            for i, (value, exc) in zip(lanes, replies):
+                try:
+                    asks[i] = runs[i].send(value) if exc is None else runs[i].throw(exc)
+                except StopIteration as stop:
+                    outs[i] = stop.value
+                    del asks[i]
+                except (np.linalg.LinAlgError, ValueError) as exc:
+                    outs[i] = NewtonOutcome(x=x0[i], cost=math.nan, error=exc)
+                    del asks[i]
+    return outs
+
+
+# what a run of _ascent asks for
+_COST, _DERIVATIVES = "cost", "derivatives"
+
+
+def _ascent(x: np.ndarray, opts: NewtonOptions, pos):
+    """One damped Newton ascent from ``x``, as a generator: it yields
+    ``(_COST, x)`` and ``(_DERIVATIVES, x)`` requests, takes each cost,
+    or ``(gradient, hessian)`` pair, as the value sent back, takes a
+    rank-deficiency or indefiniteness error of the derivatives as thrown
+    into it, and returns its :class:`NewtonOutcome`.  Its errors
+    propagate.  It never writes to an array it has yielded."""
+    c = yield _COST, x
+    if not math.isfinite(c):
+        raise ValueError("cost is not finite at the starting point")
+
+    out = NewtonOutcome(x=x, cost=c, n_cost_evals=1)
+    out.cost_trace.append(c)
+    if pos is not None:
+        if (x[pos] <= 0).any():
+            raise ValueError("positive-flagged coordinates must start positive")
+        pos_max0 = float(x[pos].max())
+        out.pos_max_trace.append(pos_max0)
+        pos_limit = opts.divergence_factor * pos_max0
 
     for _ in range(opts.max_iters):
-        if not running:
+        try:
+            g, h = yield _DERIVATIVES, x
+        except (RankDeficiencyError, IndefiniteCovarianceError) as exc:
+            out.note = f"derivative evaluation failed: {exc}"
             break
-        if len(ids) != len(running):
-            ids = np.array([lane.i for lane in running])
-        g, h, failed = grad_hess_fn(_rows(running, "x"), ids)
-        searching = []
-        for j, lane in enumerate(running):
-            out = lane.out
-            if failed and j in failed:
-                out.note = f"derivative evaluation failed: {failed[j]}"
-                continue
-            out.n_grad_evals += 1
-            try:
-                factor, _ = modified_cholesky(h[j])
-                g_j = np.asarray(g[j], dtype=float)
-                if not np.isfinite(g_j).all():
-                    raise ValueError("gradient contains non-finite entries")
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                out.error = exc
-                continue
-            step = cho_solve(factor, g_j)
-            x = lane.x
-            scale = np.maximum(1.0, np.abs(x))
-            if (np.abs(step) / scale).max() < opts.step_tol:
-                out.converged = True
-                continue
+        out.n_grad_evals += 1
+        factor, _ = modified_cholesky(h)
+        g = np.asarray(g, dtype=float)
+        if not np.isfinite(g).all():
+            raise ValueError("gradient contains non-finite entries")
+        step = cho_solve(factor, g)
+
+        scale = np.maximum(1.0, np.abs(x))
+        if (np.abs(step) / scale).max() < opts.step_tol:
+            out.converged = True
+            break
+
+        if pos is not None:
+            x_pos = x[pos]
+            floor = opts.lam_floor * x_pos
+            ceil = opts.lam_growth * x_pos
+        mu = 1.0
+        while mu >= opts.min_mu:
+            x_try = x + mu * step
             if pos is not None:
-                x_pos = x[pos]
-                lane.floor = opts.lam_floor * x_pos
-                lane.ceil = opts.lam_growth * x_pos
-            lane.step, lane.scale, lane.mu = step, scale, 1.0
-            searching.append(lane)
+                # bound each step to a fixed factor per iteration,
+                # clamping only offenders
+                x_try[pos] = np.minimum(np.maximum(x_try[pos], floor), ceil)
+            c_try = yield _COST, x_try
+            out.n_cost_evals += 1
+            if c < c_try < math.inf:            # a strict, finite increase
+                break
+            mu *= opts.backtrack
+        else:
+            out.note = out.note or STALLED_NOTE
+            break
 
-        running = []
-        late = False            # whether a lane took a step after the first round
-        while searching:
-            # every lane's trial points are those of its own run
-            for lane in searching:
-                x_try = lane.x + lane.mu * lane.step
-                if pos is not None:
-                    # bound each step to a fixed factor per iteration,
-                    # clamping only offenders
-                    x_try[pos] = np.minimum(np.maximum(x_try[pos], lane.floor), lane.ceil)
-                lane.x_try = x_try
-            rows = ids if len(searching) == len(ids) else np.array([lane.i for lane in searching])
-            c_try = cost_fn(_rows(searching, "x_try"), rows)
-            still = []
-            for lane, c in zip(searching, c_try):
-                out = lane.out
-                out.n_cost_evals += 1
-                if lane.c < c < math.inf:            # a strict, finite increase
-                    if lane.accept(c, opts, pos):
-                        running.append(lane)
-                        late = late or lane.mu < 1.0
-                    continue
-                lane.mu *= opts.backtrack
-                if lane.mu >= opts.min_mu:
-                    still.append(lane)
-                else:
-                    out.note = out.note or STALLED_NOTE
-            searching = still
-        if late:
-            running.sort(key=lambda lane: lane.i)
-
-    for lane in lanes:
-        lane.out.x, lane.out.cost = lane.x, lane.c
-    return [lane.out for lane in lanes]
-
-
-class _Lane:
-    """The state of one lane of :func:`newton_lanes`."""
-
-    __slots__ = ("i", "x", "c", "out", "pos_limit", "step", "scale", "mu", "floor", "ceil", "x_try")
-
-    def __init__(self, i, x, c):
-        self.i, self.x, self.c = i, x, c
-        self.out = NewtonOutcome(x=x, cost=c, n_cost_evals=1)
-
-    def accept(self, c, opts: NewtonOptions, pos) -> bool:
-        """Take the trial point with cost ``c``; whether the lane runs on."""
-        out = self.out
-        x_try = self.x_try
-        moved = (np.abs(x_try - self.x) / self.scale).max()
-        gained = c - self.c
-        self.x, self.c = x_try, c
+        moved = (np.abs(x_try - x) / scale).max()
+        gained = c_try - c
+        x, c = x_try, c_try
         out.iterations += 1
         out.cost_trace.append(c)
         if pos is not None:
-            pos_max = float(x_try[pos].max())
+            pos_max = float(x[pos].max())
             out.pos_max_trace.append(pos_max)
-            if pos_max > self.pos_limit:
+            if pos_max > pos_limit:
                 out.diverged = True
                 out.note = DIVERGED_NOTE
-                return False
+                break
         if moved < opts.step_tol or gained < opts.cost_tol * (1.0 + abs(c)):
             out.converged = True
-            return False
-        return True
+            break
+
+    out.x = x
+    out.cost = c
+    return out
 
 
-def _rows(lanes: list, name: str) -> np.ndarray:
-    """The lanes' vectors ``name`` as the (L, n) rows of one array."""
-    if len(lanes) == 1:
-        return getattr(lanes[0], name)[None]
-    return np.array([getattr(lane, name) for lane in lanes])
+def _rows(rows: list) -> np.ndarray:
+    """The lanes' vectors as the (L, n) rows of one array."""
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
