@@ -6,7 +6,9 @@ damped Newton steps.  Stage 2 initializes the per-sensor noise
 parameters from a covariance-fitting formula evaluated at the stage-1
 angles.  Stage 3 maximizes the concentrated deterministic or stochastic
 cost over (theta, lambda), either jointly or by alternating single
-Newton sweeps over each parameter block.
+Newton steps over each parameter block: one Newton loop with a block
+schedule (:func:`~apndoa.newton.newton_maximize`'s ``blocks``) runs all
+five stage-3 targets.
 
 Targets
 -------
@@ -37,7 +39,7 @@ from scipy.linalg import lstsq
 from ._lapack import complete_qr
 from .arrays import ArrayGeometry, angles_valid, steering_set
 from .derivatives import grad_dml_uniform, grad_hess, hess_dml_uniform
-from .newton import DIVERGED_NOTE, NewtonOptions, NewtonOutcome, newton_lanes, newton_maximize
+from .newton import NewtonOptions, NewtonOutcome, newton_lanes, newton_maximize
 from .workspace import (
     IndefiniteCovarianceError,
     RankDeficiencyError,
@@ -109,9 +111,9 @@ class EstimationResult:
     """Estimate plus diagnostics for one snapshot batch.
 
     ``theta`` is sorted ascending.  ``lam`` is ``None`` for the
-    uniform-noise target.  ``iters_stage3`` counts inner Newton
-    iterations for the joint targets and outer alternations for the
-    alternating ones.  ``flop_estimate`` applies the closed-form
+    uniform-noise target.  ``iters_stage3`` counts Newton iterations
+    for the joint targets and sweeps (one theta and one lambda step
+    each) for the alternating ones.  ``flop_estimate`` applies the closed-form
     per-iteration polynomials to the recorded iteration counts; like
     ``stage1`` it is the run's standalone cost, also when stage 1 came
     in as a shared ``start``.  ``start`` is the stage-1 outcome, for
@@ -307,10 +309,10 @@ class _Workspaces:
     Per lane two entries are kept: the last workspace built, and the one
     whose derivatives were taken last (``hold=True``).  Newton asks for
     derivatives at the point its last cost call accepted, and every
-    stage or alternating block starts where the previous one stopped:
-    at that point or, after a line search found no ascent step, at the
-    held one.  No line search is repeated from the same start (see
-    :func:`_alternating`), so no point is built twice.  Keys are bytes,
+    stage or alternating block step starts where the previous one
+    stopped: at that point or, after a line search found no ascent step,
+    at the held one.  No block step is repeated from the same start (see
+    :func:`~apndoa.newton._ascent`), so no point is built twice.  Keys are bytes,
     not array identities.  A failed build leaves the last-built entry
     empty.  An entry is a lane of a stack built for several lanes at
     once, and :meth:`at` gathers the lanes it is asked for into one
@@ -410,7 +412,8 @@ class _Problem:
 
     ``costs`` and ``grad_hess`` are the lane callbacks of
     :func:`newton_lanes`; ``cost`` and ``grad_hess_one`` are those of
-    :func:`newton_maximize` for a store of a single lane.
+    :func:`newton_maximize` for a store of a single lane.  The
+    derivative callbacks take the block a blocked run asks for.
     """
 
     def __init__(self, points: _Workspaces, cost, derivatives, k=None, stochastic=False):
@@ -427,25 +430,21 @@ class _Problem:
             return x, self.points.ones(len(x))
         return x[:, :self.k], x[:, self.k:]
 
+    def _point(self, x):
+        """(theta, lambda) of one lane's vector x."""
+        if self.k is None:
+            return x, self.ones
+        return x[:self.k], x[self.k:]
+
     def costs(self, x, lanes):
         return _lane_costs(*self.points.at(lanes, *self._split(x)), self.cost_of)
 
-    def grad_hess(self, x, lanes):
+    def grad_hess(self, x, lanes, block=None):
         ws, ok = self.points.at(lanes, *self._split(x), hold=True)
-        return _derivatives(ws, ok, self.derivatives, self.stochastic)
+        return _derivatives(ws, ok, lambda ws: self.derivatives(ws, block), self.stochastic)
 
     def cost(self, x) -> float:
-        if self.k is None:
-            return self.cost_at(x, self.ones)
-        return self.cost_at(x[:self.k], x[self.k:])
-
-    def grad_hess_one(self, x):
-        if self.k is None:
-            return self.grad_hess_at(x, self.ones)
-        return self.grad_hess_at(x[:self.k], x[self.k:])
-
-    def cost_at(self, theta: np.ndarray, lam: np.ndarray) -> float:
-        ws, _ = self.points._at_single(theta, lam, False)
+        ws, _ = self.points._at_single(*self._point(x), False)
         if ws is None:
             return -np.inf
         try:
@@ -453,8 +452,8 @@ class _Problem:
         except (np.linalg.LinAlgError, ValueError):      # the point is infeasible
             return -np.inf
 
-    def grad_hess_at(self, theta: np.ndarray, lam: np.ndarray, block=None):
-        ws, _ = self.points._at_single(theta, lam, True)
+    def grad_hess_one(self, x, block=None):
+        ws, _ = self.points._at_single(*self._point(x), True)
         if ws is None:
             raise rank_error()
         return self.derivatives(ws, block)
@@ -520,21 +519,27 @@ def _derivatives(ws, ok, evaluate, stochastic: bool = False):
     return g_all, h_all, failed
 
 
-def _maximize(problem: _Problem, x0: np.ndarray, lanes: np.ndarray, opts: NewtonOptions, positive=None):
-    """Newton over the rows of ``x0``, which belong to ``lanes``.  A store
-    of a single lane runs through :func:`newton_maximize`, which drives
-    the same ascent as :func:`newton_lanes` with direct calls; its error
-    is kept in the outcome, as a lane of the other would keep it."""
+def _maximize(
+    problem: _Problem, x0: np.ndarray, lanes: np.ndarray, opts: NewtonOptions, positive=None, blocks=None
+):
+    """Newton over the rows of ``x0``, which belong to ``lanes``, with the
+    block schedule ``blocks`` (``None``: joint steps).  A store of a
+    single lane runs through :func:`newton_maximize`, which drives the
+    same ascent as :func:`newton_lanes` with direct calls; its error is
+    kept in the outcome, as a lane of the other would keep it."""
     if not problem.points.single:
         return newton_lanes(
             lambda x, rows: problem.costs(x, lanes[rows]),
-            lambda x, rows: problem.grad_hess(x, lanes[rows]),
+            lambda x, rows, block=None: problem.grad_hess(x, lanes[rows], block),
             x0,
             opts,
             positive=positive,
+            blocks=blocks,
         )
     try:
-        out = newton_maximize(problem.cost, problem.grad_hess_one, x0[0], opts, positive=positive)
+        out = newton_maximize(
+            problem.cost, problem.grad_hess_one, x0[0], opts, positive=positive, blocks=blocks
+        )
     except (np.linalg.LinAlgError, ValueError) as exc:
         out = NewtonOutcome(x=x0[0], cost=np.nan, error=exc)
     return [out]
@@ -676,11 +681,11 @@ def estimate_lanes(
     """Run the pipeline on T sample covariances at once, one lane each.
 
     Every lane's result is, bit for bit, what :func:`apn_estimate` gives
-    on its covariance alone.  Stage 1's uniform Newton and the joint
-    stage-3 Newton of ``dml``, ``sml`` and ``sml-red`` run every lane in
-    one :func:`newton_lanes` call, on (T, M, K) steering and (T, M, M)
-    covariance stacks; the insertion line searches, the stage-2 fits and
-    the alternating targets run lane by lane.
+    on its covariance alone.  Stage 1's uniform Newton and the stage-3
+    Newton of every target, joint or alternating, run every lane in one
+    :func:`newton_lanes` call, on (T, M, K) steering and (T, M, M)
+    covariance stacks; the insertion line searches and the stage-2 fits
+    run lane by lane.
 
     Parameters
     ----------
@@ -788,120 +793,32 @@ def estimate_lanes(
     def derivatives(ws, block=None):
         return grad_hess(ws, which, reduced, block=block)
 
-    finals = []
-    if target in ("dml", "sml", "sml-red"):
-        positive = np.zeros(k + m, dtype=bool)
-        positive[k:] = True
-        x0 = np.concatenate([theta, np.array([lam0[i] for i in lanes])], axis=1)
-        joint = _Problem(points, cost_of, derivatives, k=k, stochastic=which == "S")
-        for i, out in zip(lanes, _maximize(joint, x0, lanes, opts, positive=positive)):
-            if out.error is not None:
-                results[i] = out.error
-            else:
-                finals.append((i, out.x, _stage_counts(out), out.converged, out.diverged, out.cost, out.note))
-    else:
-        # one lane at a time, each on a store of its own
-        for j, i in enumerate(lanes):
-            lane = _Problem(_Workspaces([covariances[i]], geometry), cost_of, derivatives)
-            try:
-                finals.append((i, *_alternating(lane.cost_at, lane.grad_hess_at, theta[j], lam0[i], opts)))
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                results[i] = exc
-
-    for i, x_fin, stage3, converged, diverged, cost, note in finals:
-        order = np.argsort(x_fin[:k])
+    positive = np.zeros(k + m, dtype=bool)
+    positive[k:] = True
+    # the alternating targets step theta, then lambda, in each sweep
+    blocks = {"theta": ~positive, "lam": positive} if target.endswith("-alt") else None
+    x0 = np.concatenate([theta, np.array([lam0[i] for i in lanes])], axis=1)
+    problem = _Problem(points, cost_of, derivatives, k=k, stochastic=which == "S")
+    for i, out in zip(lanes, _maximize(problem, x0, lanes, opts, positive, blocks)):
+        if out.error is not None:
+            results[i] = out.error
+            continue
+        stage3 = _stage_counts(out)
+        order = np.argsort(out.x[:k])
         results[i] = EstimationResult(
             target=target,
-            theta=x_fin[:k][order],
-            lam=x_fin[k:].copy(),
-            cost=cost,
-            converged=converged,
-            diverged_lambda=diverged,
+            theta=out.x[:k][order],
+            lam=out.x[k:].copy(),
+            cost=out.cost,
+            converged=out.converged,
+            diverged_lambda=out.diverged,
             theta_initial=starts[i].theta.copy(),
             lam_initial=lam0[i],
             stage1=starts[i].stage1,
             stage3=stage3,
             flop_estimate=flops(i, stage3),
-            note=note,
+            note=out.note,
             start=starts[i],
         )
     return results
 
-
-def _alternating(cost_at, grad_hess_at, theta, lam, opts: NewtonOptions):
-    """Outer alternation of single damped Newton sweeps over theta and lambda.
-
-    Each block's sweep takes only its own derivatives (``grad_hess_at``
-    with ``block='theta'`` or ``'lam'``) and starts at the point the
-    other block's sweep accepted, so its first cost and derivative
-    evaluations reuse that point's workspace.  The sweeps' closures pass
-    the other block's current array as it is: Newton never writes to an
-    array it has handed to the cost, so the blocks need no copying.
-
-    A lambda sweep that would start where the previous one started (the
-    previous one left lambda unchanged and the theta sweep between them
-    left theta unchanged) is not run again: Newton is deterministic, so
-    it would repeat the previous outcome, which is reused, and its
-    evaluations are not counted.
-
-    A sweep that moves the parameters by less than ``step_tol`` in the
-    scaled norm ``max_i |dx_i| / max(1, |x_i|)`` ends the run; it counts
-    as converged only if neither block's line search stalled.  The run
-    stops as diverged once the largest lambda exceeds
-    ``divergence_factor`` times its stage-2 value.  Returns the final
-    ``concatenate([theta, lam])`` and the run's summary.
-    """
-    one_step = dataclasses.replace(opts, max_iters=1)
-    lam_mask = np.ones(lam.size, dtype=bool)
-    lam_limit = opts.divergence_factor * lam.max()
-    grad_evals = cost_evals = outer = 0
-    converged = diverged = False
-    cost = cost_at(theta, lam)
-    note = ""
-    x = np.concatenate([theta, lam])
-    l_start = None              # bytes of the point the last lambda sweep started at
-
-    def t_cost(t):
-        return cost_at(t, lam)
-
-    def t_gh(t):
-        return grad_hess_at(t, lam, "theta")
-
-    def l_cost(lam_try):
-        return cost_at(theta, lam_try)
-
-    def l_gh(lam_try):
-        return grad_hess_at(theta, lam_try, "lam")
-
-    for _ in range(opts.max_outer):
-        x_prev = x
-        out_t = newton_maximize(t_cost, t_gh, theta, one_step)
-        theta = out_t.x
-        grad_evals += out_t.n_grad_evals
-        cost_evals += out_t.n_cost_evals
-        start = theta.tobytes() + lam.tobytes()
-        if start != l_start:
-            l_start = start
-            out_l = newton_maximize(l_cost, l_gh, lam, one_step, positive=lam_mask)
-            grad_evals += out_l.n_grad_evals
-            cost_evals += out_l.n_cost_evals
-        lam = out_l.x
-        x = np.concatenate([theta, lam])
-        outer += 1
-        cost = max(out_t.cost, out_l.cost)
-        if out_t.note.startswith("derivative") or out_l.note.startswith("derivative"):
-            note = out_t.note or out_l.note
-            break
-        if lam.max() > lam_limit:
-            diverged = True
-            note = DIVERGED_NOTE
-            break
-        if (np.abs(x - x_prev) / np.maximum(1.0, np.abs(x_prev))).max() < opts.step_tol:
-            note = out_t.note or out_l.note
-            converged = not note
-            break
-
-    stage3 = StageCounts(
-        candidates=0, newton_iters=outer, grad_evals=grad_evals, cost_evals=cost_evals
-    )
-    return x, stage3, converged, diverged, cost, note

@@ -10,12 +10,17 @@ iteration, and a runaway of those coordinates is reported as
 divergence instead of being iterated into overflow.
 
 One ascent is written once, as the generator :func:`_ascent`, which asks
-for costs and derivatives instead of calling for them.
-:func:`newton_maximize` answers one run's requests with direct calls;
-:func:`newton_lanes` runs T independent problems at once as lanes and
-answers, at each step, every lane's derivative requests with one call
-and its cost requests with another, while each lane keeps its own step,
-backtracking, termination and failure, and the outcome of its own run.
+for costs and derivatives instead of calling for them.  It runs sweeps
+over a block schedule: a joint ascent steps all coordinates at once, a
+blocked one takes one step per block in turn (theta, then lambda, for
+the alternating targets), and the one loop owns the steps, the stall
+and derivative-failure notes, the divergence limit and the termination
+tests of both.  :func:`newton_maximize` answers one run's requests with
+direct calls; :func:`newton_lanes` runs T independent problems at once
+as lanes and answers, at each step, every lane's derivative requests
+with one call per block and its cost requests with another, while each
+lane keeps its own step, backtracking, termination and failure, and the
+outcome of its own run.
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ class NewtonOptions:
     uniform line-search stage always uses its negative-semidefinite
     approximate Hessian.
 
+    ``max_iters`` caps the steps of a joint run and ``max_outer`` the
+    sweeps of a blocked one, each of which takes one step per block.
+
     ``divergence_factor`` bounds the growth of the positive-flagged
     coordinates over their starting maximum.  On the deterministic cost
     at 40 dB the rounding error of the cost outgrows the gain of a
@@ -85,9 +93,10 @@ class NewtonOptions:
 class NewtonOutcome:
     """Result of one Newton run.
 
-    ``iterations`` counts accepted steps.  ``cost_trace`` holds the cost
-    after each accepted step, starting with the initial value, and is
-    strictly increasing by construction.  ``pos_max_trace`` tracks the
+    ``iterations`` counts accepted steps of a joint run and sweeps of a
+    blocked one.  ``cost_trace`` holds the cost after each accepted step,
+    of any block, starting with the initial value, and is strictly
+    increasing by construction.  ``pos_max_trace`` tracks the
     largest positive-flagged coordinate alongside it (empty when none
     are flagged).
     """
@@ -144,20 +153,26 @@ def modified_cholesky(h: np.ndarray, scale: float = 1e-8):
     raise np.linalg.LinAlgError("modified Cholesky failed to find a shift")
 
 
-def _positive_index(positive, shape):
-    """The positive-flagged coordinates of a boolean mask as an index, or
-    ``None`` if none are flagged: a slice when they are contiguous, as
-    the noise parameters are, since a slice indexes without copying."""
-    if positive is None:
-        return None
-    mask = np.asarray(positive, dtype=bool)
+def _index(mask, shape):
+    """The coordinates a boolean mask flags, as an index, or ``None`` if it
+    flags none: a slice when they are contiguous, as the noise parameters
+    and the parameter blocks are, since a slice indexes without copying."""
+    mask = np.asarray(mask, dtype=bool)
     if mask.shape != shape:
-        raise ValueError("positive mask must match the parameter vector")
+        raise ValueError("positive mask and blocks must match the parameter vector")
     idx = np.flatnonzero(mask)
     if not idx.size:
         return None
     lo, hi = int(idx[0]), int(idx[-1]) + 1
     return slice(lo, hi) if hi - lo == idx.size else idx
+
+
+def _schedule(shape, positive, blocks):
+    """The index of the positive-flagged coordinates (``None`` if none)
+    and the block schedule of :func:`_ascent`: ``None`` for joint steps,
+    or per block its name and index."""
+    pos = None if positive is None else _index(positive, shape)
+    return pos, None if blocks is None else [(name, _index(mask, shape)) for name, mask in blocks.items()]
 
 
 def newton_maximize(
@@ -166,6 +181,7 @@ def newton_maximize(
     x0,
     options: NewtonOptions | None = None,
     positive: np.ndarray | None = None,
+    blocks: dict | None = None,
 ) -> NewtonOutcome:
     """Damped Newton ascent of a scalar cost.
 
@@ -186,37 +202,46 @@ def newton_maximize(
         ``lam_floor`` times its previous value, and the run stops with
         ``diverged=True`` once the largest flagged coordinate exceeds
         ``divergence_factor`` times its initial maximum.
+    blocks : dict, optional
+        A block schedule: block names mapped to boolean masks of their
+        coordinates, in the order a sweep visits them.  Each sweep then
+        takes one Newton step per block over that block's coordinates
+        alone, with ``grad_hess_fn(x, name)`` returning the gradient over
+        the block and its Hessian block, and at most ``max_outer`` sweeps
+        run.  Without it every step is joint, from ``grad_hess_fn(x)``,
+        and at most ``max_iters`` run.
 
     Notes
     -----
     Step-size termination uses the scaled infinity norm
     ``max_i |dx_i| / max(1, |x_i|)`` so that large noise coordinates do
-    not hold an absolute tolerance hostage, checked both on the Newton
-    step before the line search and on the accepted movement after it.
-    A run also stops once an accepted step raises the cost by less than
-    ``cost_tol`` relative to its magnitude: near the maximum the cost
-    changes quadratically in the step, so increments demanded by
-    ``step_tol`` sit below the cost's floating-point resolution and
-    further "strict increases" are rounding noise, not ascent.
+    not hold an absolute tolerance hostage, checked both on each block's
+    Newton step, over its coordinates, before the line search and on a
+    sweep's movement after it.  A joint run also stops once an accepted
+    step raises the cost by less than ``cost_tol`` relative to its
+    magnitude: near the maximum the cost changes quadratically in the
+    step, so increments demanded by ``step_tol`` sit below the cost's
+    floating-point resolution and further "strict increases" are
+    rounding noise, not ascent.
 
     This is one lane of :func:`newton_lanes`: both drive the same
     iteration, :func:`_ascent`, here with direct calls to the callbacks.
     """
     opts = options or NewtonOptions()
     x = np.array(x0, dtype=float, copy=True)
-    run = _ascent(x, opts, _positive_index(positive, x.shape))
-    kind, x = next(run)
+    run = _ascent(x, opts, *_schedule(x.shape, positive, blocks))
+    kind, x, block = next(run)
     while True:
         try:
             if kind is _COST:
-                kind, x = run.send(cost_fn(x))
+                kind, x, block = run.send(cost_fn(x))
                 continue
             try:
-                value = grad_hess_fn(x)
+                value = grad_hess_fn(x) if block is None else grad_hess_fn(x, block)
             except (RankDeficiencyError, IndefiniteCovarianceError) as exc:
-                kind, x = run.throw(exc)
+                kind, x, block = run.throw(exc)
             else:
-                kind, x = run.send(value)
+                kind, x, block = run.send(value)
         except StopIteration as stop:
             return stop.value
 
@@ -227,15 +252,17 @@ def newton_lanes(
     x0,
     options: NewtonOptions | None = None,
     positive: np.ndarray | None = None,
+    blocks: dict | None = None,
 ) -> list:
     """Damped Newton ascent of T costs at once, one per lane.
 
     Each lane runs the iteration of :func:`newton_maximize` (the same
     :func:`_ascent`), so its outcome is that of its own run, bit for bit.
     What the lanes share is the calls: at each step, one ``grad_hess_fn``
-    call serves every lane that asks for derivatives and one ``cost_fn``
-    call every lane that asks for a cost, whether for a first trial point
-    or a shorter one.  Lanes that have stopped are not evaluated.
+    call per block serves every lane that asks for that block's
+    derivatives and one ``cost_fn`` call every lane that asks for a cost,
+    whether for a first trial point or a shorter one.  Lanes that have
+    stopped are not evaluated.
 
     Parameters
     ----------
@@ -244,7 +271,8 @@ def newton_lanes(
         ``lanes`` (an index array into the T lanes) to L costs; ``-inf``
         marks an infeasible point.
     grad_hess_fn : callable
-        ``grad_hess_fn(x, lanes)`` returns ``(g, h, failed)``: per row a
+        ``grad_hess_fn(x, lanes)``, or ``grad_hess_fn(x, lanes, name)``
+        for a block of ``blocks``, returns ``(g, h, failed)``: per row a
         gradient and Hessian, indexable by row, and ``failed``, a dict
         from row to the rank-deficiency or indefiniteness error of the
         rows whose derivatives could not be formed (their lanes stop
@@ -253,6 +281,8 @@ def newton_lanes(
         (T, n) start points.
     positive : ndarray of bool, optional
         (n,) coordinates kept positive in every lane.
+    blocks : dict, optional
+        The block schedule of every lane, as for :func:`newton_maximize`.
 
     Returns
     -------
@@ -265,20 +295,22 @@ def newton_lanes(
     """
     opts = options or NewtonOptions()
     x0 = np.array(x0, dtype=float, copy=True)
-    pos = _positive_index(positive, x0.shape[1:])
-    runs = [_ascent(x, opts, pos) for x in x0]
-    asks = {i: next(run) for i, run in enumerate(runs)}     # lane -> (kind, x)
+    pos, schedule = _schedule(x0.shape[1:], positive, blocks)
+    runs = [_ascent(x, opts, pos, schedule) for x in x0]
+    asks = {i: next(run) for i, run in enumerate(runs)}     # lane -> (kind, x, block)
     outs = [None] * len(runs)
+    requests = [(_DERIVATIVES, name) for name in blocks or (None,)] + [(_COST, None)]
     while asks:
-        for kind in (_DERIVATIVES, _COST):
-            lanes = [i for i, ask in asks.items() if ask[0] is kind]
+        for kind, block in requests:
+            lanes = [i for i, ask in asks.items() if ask[0] is kind and ask[2] == block]
             if not lanes:
                 continue
             x = _rows([asks[i][1] for i in lanes])
             if kind is _COST:
                 replies = [(c, None) for c in cost_fn(x, np.array(lanes))]
             else:
-                g, h, failed = grad_hess_fn(x, np.array(lanes))
+                args = (x, np.array(lanes)) if block is None else (x, np.array(lanes), block)
+                g, h, failed = grad_hess_fn(*args)
                 replies = [((g[j], h[j]), failed.get(j)) for j in range(len(lanes))]
             for i, (value, exc) in zip(lanes, replies):
                 try:
@@ -295,84 +327,131 @@ def newton_lanes(
 # what a run of _ascent asks for
 _COST, _DERIVATIVES = "cost", "derivatives"
 
+DERIVATIVE_NOTE = "derivative evaluation failed"
 
-def _ascent(x: np.ndarray, opts: NewtonOptions, pos):
+
+def _ascent(x: np.ndarray, opts: NewtonOptions, pos, blocks):
     """One damped Newton ascent from ``x``, as a generator: it yields
-    ``(_COST, x)`` and ``(_DERIVATIVES, x)`` requests, takes each cost,
-    or ``(gradient, hessian)`` pair, as the value sent back, takes a
-    rank-deficiency or indefiniteness error of the derivatives as thrown
-    into it, and returns its :class:`NewtonOutcome`.  Its errors
-    propagate.  It never writes to an array it has yielded."""
-    c = yield _COST, x
+    ``(_COST, x, None)`` and ``(_DERIVATIVES, x, block)`` requests, takes
+    each cost, or the block's ``(gradient, hessian)`` pair, as the value
+    sent back, takes a rank-deficiency or indefiniteness error of the
+    derivatives as thrown into it, and returns its :class:`NewtonOutcome`.
+    Its errors propagate.  It never writes to an array it has yielded.
+
+    The run is a sequence of sweeps, each one step of :func:`_step` per
+    block of ``blocks`` (see :func:`_schedule`).  A joint run is one
+    block, named ``None``, over every coordinate: its sweeps are its
+    iterations, capped by ``max_iters``; a blocked run's are capped by
+    ``max_outer``.  After a sweep, the run stops
+
+    - if a block's derivatives failed, with the sweep's first note;
+    - if the largest positive coordinate passed ``divergence_factor``
+      times its start, as diverged;
+    - if the sweep moved x by less than ``step_tol`` (for a joint run,
+      also if it raised the cost by less than ``cost_tol``), converged
+      unless a block's line search stalled, whose note it keeps.
+
+    A block step that would start from the bytes its last step started
+    from would repeat that step's outcome, so it is not run: its note
+    stands and nothing is counted.  A blocked run counts the cost at the
+    start of every block step, as a run of that step alone would, and
+    one iteration per sweep; a joint run counts its start cost once and
+    its accepted steps.
+    """
+    c = yield _COST, x, None
     if not math.isfinite(c):
         raise ValueError("cost is not finite at the starting point")
 
-    out = NewtonOutcome(x=x, cost=c, n_cost_evals=1)
+    joint = blocks is None
+    out = NewtonOutcome(x=x, cost=c, n_cost_evals=int(joint))
     out.cost_trace.append(c)
     if pos is not None:
         if (x[pos] <= 0).any():
             raise ValueError("positive-flagged coordinates must start positive")
-        pos_max0 = float(x[pos].max())
-        out.pos_max_trace.append(pos_max0)
-        pos_limit = opts.divergence_factor * pos_max0
+        out.pos_max_trace.append(float(x[pos].max()))
+        pos_limit = opts.divergence_factor * out.pos_max_trace[0]
+    if joint:
+        blocks = [(None, slice(None))]
+    last = {}               # block -> (bytes of x its last step started from, its note)
 
-    for _ in range(opts.max_iters):
-        try:
-            g, h = yield _DERIVATIVES, x
-        except (RankDeficiencyError, IndefiniteCovarianceError) as exc:
-            out.note = f"derivative evaluation failed: {exc}"
+    for _ in range(opts.max_iters if joint else opts.max_outer):
+        x_sweep, c_sweep = x, c
+        note = ""
+        failed = False
+        for name, idx in blocks:
+            start = x.tobytes()
+            if name in last and last[name][0] == start:
+                note = note or last[name][1]
+                continue
+            out.n_cost_evals += not joint
+            x_new, c, step_note = yield from _step(x, c, name, idx, pos, opts, out)
+            last[name] = (start, step_note)
+            note = note or step_note
+            failed = failed or step_note.startswith(DERIVATIVE_NOTE)
+            if x_new is not x:
+                x = x_new
+                out.cost_trace.append(c)
+                if pos is not None:
+                    out.pos_max_trace.append(float(x[pos].max()))
+        out.iterations += not joint or x is not x_sweep
+        if failed:
             break
-        out.n_grad_evals += 1
-        factor, _ = modified_cholesky(h)
-        g = np.asarray(g, dtype=float)
-        if not np.isfinite(g).all():
-            raise ValueError("gradient contains non-finite entries")
-        step = cho_solve(factor, g)
-
-        scale = np.maximum(1.0, np.abs(x))
-        if (np.abs(step) / scale).max() < opts.step_tol:
-            out.converged = True
+        if pos is not None and out.pos_max_trace[-1] > pos_limit:
+            out.diverged = True
+            note = DIVERGED_NOTE
             break
-
-        if pos is not None:
-            x_pos = x[pos]
-            floor = opts.lam_floor * x_pos
-            ceil = opts.lam_growth * x_pos
-        mu = 1.0
-        while mu >= opts.min_mu:
-            x_try = x + mu * step
-            if pos is not None:
-                # bound each step to a fixed factor per iteration,
-                # clamping only offenders
-                x_try[pos] = np.minimum(np.maximum(x_try[pos], floor), ceil)
-            c_try = yield _COST, x_try
-            out.n_cost_evals += 1
-            if c < c_try < math.inf:            # a strict, finite increase
-                break
-            mu *= opts.backtrack
-        else:
-            out.note = out.note or STALLED_NOTE
+        moved = (np.abs(x - x_sweep) / np.maximum(1.0, np.abs(x_sweep))).max()
+        if moved < opts.step_tol or (joint and c - c_sweep < opts.cost_tol * (1.0 + abs(c))):
+            out.converged = not note
             break
-
-        moved = (np.abs(x_try - x) / scale).max()
-        gained = c_try - c
-        x, c = x_try, c_try
-        out.iterations += 1
-        out.cost_trace.append(c)
-        if pos is not None:
-            pos_max = float(x[pos].max())
-            out.pos_max_trace.append(pos_max)
-            if pos_max > pos_limit:
-                out.diverged = True
-                out.note = DIVERGED_NOTE
-                break
-        if moved < opts.step_tol or gained < opts.cost_tol * (1.0 + abs(c)):
-            out.converged = True
-            break
+    else:
+        note = ""
 
     out.x = x
     out.cost = c
+    out.note = note
     return out
+
+
+def _step(x, c, name, idx, pos, opts: NewtonOptions, out: NewtonOutcome):
+    """One damped Newton step of the block ``name``, the coordinates
+    ``idx`` of ``x``, as part of :func:`_ascent`.  Returns the point and
+    cost it accepts, or ``x`` and ``c`` with a note if its derivatives
+    failed or its line search found no ascent step; ``x`` and ``c`` with
+    no note if the step is below ``step_tol``.  Trial points are clamped
+    on the positive coordinates ``pos``, which a step of another block
+    leaves as they are."""
+    try:
+        g, h = yield _DERIVATIVES, x, name
+    except (RankDeficiencyError, IndefiniteCovarianceError) as exc:
+        return x, c, f"{DERIVATIVE_NOTE}: {exc}"
+    out.n_grad_evals += 1
+    factor, _ = modified_cholesky(h)
+    g = np.asarray(g, dtype=float)
+    if not np.isfinite(g).all():
+        raise ValueError("gradient contains non-finite entries")
+    step = cho_solve(factor, g)
+    if (np.abs(step) / np.maximum(1.0, np.abs(x[idx]))).max() < opts.step_tol:
+        return x, c, ""
+
+    if pos is not None:
+        x_pos = x[pos]
+        floor = opts.lam_floor * x_pos
+        ceil = opts.lam_growth * x_pos
+    mu = 1.0
+    while mu >= opts.min_mu:
+        x_try = x.copy()
+        x_try[idx] += mu * step
+        if pos is not None:
+            # bound each step to a fixed factor per iteration, clamping
+            # only offenders
+            x_try[pos] = np.minimum(np.maximum(x_try[pos], floor), ceil)
+        c_try = yield _COST, x_try, None
+        out.n_cost_evals += 1
+        if c < c_try < math.inf:            # a strict, finite increase
+            return x_try, c_try, ""
+        mu *= opts.backtrack
+    return x, c, STALLED_NOTE
 
 
 def _rows(rows: list) -> np.ndarray:

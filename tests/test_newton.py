@@ -245,12 +245,22 @@ def test_max_iters_caps_the_run():
 # -- lanes ---------------------------------------------------------------------
 
 
-def lane_problems():
+# a schedule of two blocks, the second of them kept positive
+BLOCKS = {"a": np.array([True, False, False]), "b": np.array([False, True, True])}
+
+
+def lane_problems(blocked=False):
     """Per lane a cost and its derivatives: quadratics in log coordinates
     with different curvatures and starts, so the lanes take different
     numbers of iterations; lane 2's trial points are all infeasible, so
     it stalls while the others accept; lane 3's Hessian is indefinite,
-    which takes the shifted Cholesky factor."""
+    which takes the shifted Cholesky factor.
+
+    ``blocked`` is for the schedule :data:`BLOCKS`, whose steps ask for
+    the derivatives of one block: lane 2's trial points are infeasible
+    only where they move block b, which stalls in every sweep while
+    block a ascends, and lane 4's cost is a log barrier in block b,
+    which diverges."""
     rng = np.random.default_rng(3)
     problems = []
     for lane in range(5):
@@ -259,21 +269,31 @@ def lane_problems():
         x_star = np.exp(rng.standard_normal(3))
         start = x_star * (1.0 + 4.0 * lane)
         calls = {"n": 0}
+        barrier = blocked and lane == 4
+        if barrier:
+            a[1:] = a[:, 1:] = 0.0
 
-        def cost(x, a=a, x_star=x_star, lane=lane, calls=calls):
+        def cost(x, a=a, x_star=x_star, lane=lane, calls=calls, start=start, barrier=barrier):
             calls["n"] += 1
-            if lane == 2 and calls["n"] > 1:
+            if lane == 2 and calls["n"] > 1 and (not blocked or (x[1:] != start[1:]).any()):
                 return -np.inf
             with np.errstate(invalid="ignore"):     # a step past zero is infeasible: NaN
                 d = np.log(x) - np.log(x_star)
-            return -float(d @ a @ d)
+            return -float(d @ a @ d) + (200.0 * np.log(x[1:]).sum() if barrier else 0.0)
 
-        def gh(x, a=a, x_star=x_star, lane=lane):
+        def gh(x, block=None, a=a, x_star=x_star, lane=lane, barrier=barrier):
             d = np.log(x) - np.log(x_star)
+            g = -2.0 * (a @ d) / x
             h = -2.0 * a / np.outer(x, x)
             if lane == 3:
                 h = h + 3.0 * np.abs(h).max() * np.diag([1.0, 0.0, 0.0])
-            return -2.0 * (a @ d) / x, h
+            if barrier:
+                g[1:] += 200.0 / x[1:]
+                h[1:, 1:] -= np.diag(200.0 / x[1:] ** 2)
+            if block is None:
+                return g, h
+            mask = BLOCKS[block]
+            return g[mask], h[np.ix_(mask, mask)]
 
         problems.append((cost, gh, start, calls))
     return problems
@@ -286,32 +306,50 @@ def outcome_fields(out):
     )
 
 
-@pytest.mark.parametrize("positive", [None, np.ones(3, dtype=bool)])
-def test_each_lane_is_its_own_run(positive):
+@pytest.mark.parametrize(
+    "positive, blocks",
+    [(None, None), (np.ones(3, dtype=bool), None), (BLOCKS["b"], BLOCKS)],
+    ids=["None", "positive1", "blocked"],
+)
+def test_each_lane_is_its_own_run(positive, blocks):
     """One newton_lanes call over five lanes gives each lane the outcome of
     its own newton_maximize run, bit for bit, although the lanes stop at
-    different iterations and one of them never finds an ascent step."""
+    different iterations (or sweeps) and one of them never finds an ascent
+    step (in one block); under the block schedule one lane diverges."""
+    blocked = blocks is not None
+    alone_problems = lane_problems(blocked)
     alone = []
-    for cost, gh, start, calls in lane_problems():
-        alone.append(newton_maximize(cost, gh, start, positive=positive))
-    problems = lane_problems()
+    for cost, gh, start, calls in alone_problems:
+        alone.append(newton_maximize(cost, gh, start, positive=positive, blocks=blocks))
+    problems = lane_problems(blocked)
     asked = []
 
     def costs(x, lanes):
         asked.append(len(lanes))
         return [problems[i][0](row) for i, row in zip(lanes, x)]
 
-    def grad_hess(x, lanes):
-        pairs = [problems[i][1](row) for i, row in zip(lanes, x)]
+    def grad_hess(x, lanes, *block):
+        pairs = [problems[i][1](row, *block) for i, row in zip(lanes, x)]
         return [g for g, _ in pairs], [h for _, h in pairs], {}
 
-    lanes = newton_lanes(costs, grad_hess, [p[2] for p in problems], positive=positive)
+    lanes = newton_lanes(costs, grad_hess, [p[2] for p in problems], positive=positive, blocks=blocks)
     assert [outcome_fields(out) for out in lanes] == [outcome_fields(out) for out in alone]
     iterations = sorted(out.iterations for out in alone)
     assert iterations[0] < iterations[-1]
-    assert lanes[2].note == "line search found no ascent step" and lanes[2].iterations == 0
-    # a stopped lane is not evaluated again
-    assert sum(asked) == sum(out.n_cost_evals for out in alone)
+    assert lanes[2].note == "line search found no ascent step" and not lanes[2].converged
+    if blocked:
+        # block a ascended while block b stalled, until a stopped moving
+        # and b's step, which would have started where its last one did,
+        # was not run again
+        assert lanes[2].iterations > 1 and lanes[2].n_grad_evals == 2 * lanes[2].iterations - 1
+        assert lanes[4].diverged and [out.diverged for out in lanes].count(True) == 1
+        # a stopped lane is not evaluated again; a block step's start cost
+        # is counted but not asked for
+        assert sum(asked) == sum(calls["n"] for *_, calls in alone_problems)
+    else:
+        assert lanes[2].iterations == 0
+        # a stopped lane is not evaluated again
+        assert sum(asked) == sum(out.n_cost_evals for out in alone)
     assert max(asked) == 5 and min(asked) < 5
 
 
