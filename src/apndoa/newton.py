@@ -117,8 +117,8 @@ class NewtonOutcome:
 
 
 def modified_cholesky(h: np.ndarray, scale: float = 1e-8):
-    """Cholesky factor of ``-(h - tau I)`` with the smallest shift found
-    by doubling.
+    """Cholesky factor of ``-(h - tau I)`` with a shift found by
+    doubling: twice the first one that factors.
 
     Returns ``(factor, tau)`` where ``factor`` is the lower Cholesky
     factor of ``-h + tau I`` as a ``(c, True)`` pair, equal to scipy's
@@ -146,10 +146,15 @@ def modified_cholesky(h: np.ndarray, scale: float = 1e-8):
     shifted_diag = np.einsum("ii->i", shifted)      # a writable view
     for _ in range(2000):
         shifted_diag[:] = diag + tau                # -h + tau I
-        factor = cholesky(shifted)
-        if factor is not None:
-            return factor, tau
+        factored = cholesky(shifted) is not None
         tau *= 2.0
+        if factored:
+            # factor one doubling further: the first shift that factors
+            # can sit just above a barely positive eigenvalue and blow the
+            # step up; at twice that shift the smallest eigenvalue is at
+            # least tau / 2
+            shifted_diag[:] = diag + tau
+            return cholesky(shifted), tau
     raise np.linalg.LinAlgError("modified Cholesky failed to find a shift")
 
 

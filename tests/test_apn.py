@@ -341,7 +341,7 @@ def test_no_point_is_built_twice(builds, target, snr_db):
     assert len(set(builds)) == len(builds)
 
 
-@pytest.mark.parametrize("seed", [215])
+@pytest.mark.parametrize("seed", [460])
 def test_a_stalled_lambda_sweep_is_not_repeated(builds, seed):
     """On this 20 dB batch a lambda sweep stalls and the next theta sweep
     leaves theta as it was, so a new lambda sweep would retry the same
@@ -349,8 +349,9 @@ def test_a_stalled_lambda_sweep_is_not_repeated(builds, seed):
 
     Stalls sit at the cost's rounding floor, so which batches reach this
     path moves with the last bits of the costs and derivatives.  With the
-    cancellation-free trace no batch of seeds 0-199 (round 0, any SNR)
-    reaches it; seed 215 is the first at 20 dB in seeds 0-999."""
+    cancellation-free trace and the doubled Cholesky shift, seeds 460,
+    555, 608 and 712 reach it at 20 dB in seeds 0-999; seed 215, the first
+    before the shift was doubled, no longer stalls."""
     res = apn_estimate(benchmark_round_batch(seed, 2), GEOM, 3, target="sml-alt")
     assert len(set(builds)) == len(builds)
     assert res.note == "line search found no ascent step"
@@ -358,6 +359,19 @@ def test_a_stalled_lambda_sweep_is_not_repeated(builds, seed):
     # every outer step ran both sweeps except the last, whose lambda
     # sweep would have repeated its predecessor
     assert res.stage3.grad_evals == 2 * res.iters_stage3 - 1
+
+
+@pytest.mark.parametrize("seed, rnd, snr_index", [(1727, 552, 2), (103, 22, 3)])
+def test_joint_sml_reaches_the_reduced_hessian_maximum(seed, rnd, snr_index):
+    """On these batches the first shift that factored sat just above a
+    barely positive eigenvalue of -H, and joint sml stalled after one or
+    two steps, 10 and 6.4 below the maximum that sml-red reaches.  With
+    the shift doubled once more it converges there."""
+    z = benchmark_round_batch(seed, snr_index, rnd)
+    joint = apn_estimate(z, GEOM, 3, target="sml")
+    reduced = apn_estimate(z, GEOM, 3, target="sml-red")
+    assert joint.converged and joint.note == ""
+    assert abs(joint.cost - reduced.cost) <= 1e-6
 
 
 def sml_likelihood(z, theta, lam):
