@@ -14,11 +14,13 @@ values, and the environment (core count, Python, numpy, scipy and BLAS
 versions, ``OPENBLAS_NUM_THREADS``).  The exit code is 1 if any run
 failed.
 
-``--check-only`` times nothing: it runs ``apnbench/run.py --seconds 0``
-(the quality rounds and their checks only) in the working tree, at
-``--trace 0`` and ``--trace 1``, for every workload and seed, prints each
-failing run's ``failed op:`` and ``check failed:`` lines, and exits 1 if
-any run exits non-zero or fails an op.
+``--check-only`` compares nothing: in the working tree, for every
+workload and seed, it runs ``apnbench/run.py`` at ``--trace 0`` for the
+``run_seconds`` of ``BENCHMARK.json``, as a timed run goes, which reaches
+rounds far past the quality rounds, and at ``--trace 1`` for
+``--seconds 0`` (the quality rounds and their checks only).  It prints
+each failing run's ``failed op:`` and ``check failed:`` lines, and exits
+1 if any run exits non-zero or fails an op.
 """
 
 from __future__ import annotations
@@ -96,13 +98,14 @@ def environment() -> dict:
     }
 
 
-def check_only(workloads: list, seeds: list) -> int:
-    """Every workload and seed at trace 0 and 1, checks only, in the working tree."""
+def check_only(workloads: list, seeds: list, seconds: float) -> int:
+    """Every workload and seed in the working tree: a run of ``seconds``
+    at trace 0 and the quality rounds alone at trace 1."""
     ok = True
     for workload in workloads:
         for seed in seeds:
-            for trace in (0, 1):
-                run = run_once(ROOT, workload, seed, 0, trace)
+            for trace, run_seconds in ((0, seconds), (1, 0)):
+                run = run_once(ROOT, workload, seed, run_seconds, trace)
                 print(f"{workload} seed {seed} trace {trace}: exit {run['exit']}, "
                       f"failed {run['failed']} of {run['attempted']}", flush=True)
                 for line in run["failed_ops"]:
@@ -117,12 +120,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, type=parse_seeds)
     ap.add_argument("--out", type=Path)
     ap.add_argument("--check-only", action="store_true",
-                    help="run the checks of every workload and seed, untimed, in the working tree only")
+                    help="run the checks of every workload and seed in the working tree only")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.check_only:
-        return check_only([w["name"] for w in spec["workloads"]], args.seeds)
+        return check_only([w["name"] for w in spec["workloads"]], args.seeds, spec["run_seconds"])
     if args.base is None or args.out is None:
         ap.error("--base and --out are required unless --check-only is given")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
