@@ -113,11 +113,11 @@ class EstimationResult:
     ``theta`` is sorted ascending.  ``lam`` is ``None`` for the
     uniform-noise target.  ``iters_stage3`` counts Newton iterations
     for the joint targets and sweeps (one theta and one lambda step
-    each) for the alternating ones.  ``flop_estimate`` applies the closed-form
-    per-iteration polynomials to the recorded iteration counts; like
-    ``stage1`` it is the run's standalone cost, also when stage 1 came
-    in as a shared ``start``.  ``start`` is the stage-1 outcome, for
-    other targets on the same covariance.
+    each) for the alternating ones.  ``flop_estimate`` applies the
+    closed-form per-iteration polynomials to the recorded iteration
+    counts; like ``stage1`` it is the run's standalone cost, also when
+    stage 1 came in as a shared ``start``.  ``start`` is the stage-1
+    outcome, for other targets on the same covariance.
     """
 
     target: str
@@ -311,9 +311,9 @@ class _Workspaces:
     derivatives at the point its last cost call accepted, and every
     stage or alternating block step starts where the previous one
     stopped: at that point or, after a line search found no ascent step,
-    at the held one.  No block step is repeated from the same start (see
-    :func:`~apndoa.newton._ascent`), so no point is built twice.  Keys are bytes,
-    not array identities.  A failed build leaves the last-built entry
+    at the held one.  No block step is repeated from the same start
+    (see :func:`~apndoa.newton._ascent`), so no point is built twice.
+    Keys are bytes, not array identities.  A failed build leaves the last-built entry
     empty.  An entry is a lane of a stack built for several lanes at
     once, and :meth:`at` gathers the lanes it is asked for into one
     stack.  A single lane is not stacked: its workspaces are the
