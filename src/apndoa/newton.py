@@ -149,10 +149,8 @@ def modified_cholesky(h: np.ndarray, scale: float = 1e-8):
         factored = cholesky(shifted) is not None
         tau *= 2.0
         if factored:
-            # factor one doubling further: the first shift that factors
-            # can sit just above a barely positive eigenvalue and blow the
-            # step up; at twice that shift the smallest eigenvalue is at
-            # least tau / 2
+            # the first shift that factors can sit just above a barely
+            # positive eigenvalue; at twice it, the smallest is >= tau / 2
             shifted_diag[:] = diag + tau
             return cholesky(shifted), tau
     raise np.linalg.LinAlgError("modified Cholesky failed to find a shift")
@@ -343,11 +341,11 @@ def _ascent(x: np.ndarray, opts: NewtonOptions, pos, blocks):
     derivatives as thrown into it, and returns its :class:`NewtonOutcome`.
     Its errors propagate.  It never writes to an array it has yielded.
 
-    The run is a sequence of sweeps, each one step of :func:`_step` per
-    block of ``blocks`` (see :func:`_schedule`).  A joint run is one
-    block, named ``None``, over every coordinate: its sweeps are its
-    iterations, capped by ``max_iters``; a blocked run's are capped by
-    ``max_outer``.  After a sweep, the run stops
+    A run is a sequence of sweeps, each one :func:`_step` per block of
+    ``blocks`` (see :func:`_schedule`).  A joint run is one block, named
+    ``None``, of every coordinate, whose sweeps, capped by ``max_iters``,
+    are its iterations; a blocked run's are capped by ``max_outer``.
+    After a sweep, the run stops
 
     - if a block's derivatives failed, with the sweep's first note;
     - if the largest positive coordinate passed ``divergence_factor``
@@ -383,18 +381,20 @@ def _ascent(x: np.ndarray, opts: NewtonOptions, pos, blocks):
         x_sweep, c_sweep = x, c
         note = ""
         failed = False
+        moved = 0.0         # each block step moves its own coordinates alone
         for name, idx in blocks:
             start = x.tobytes()
             if name in last and last[name][0] == start:
                 note = note or last[name][1]
                 continue
             out.n_cost_evals += not joint
-            x_new, c, step_note = yield from _step(x, c, name, idx, pos, opts, out)
+            x_new, c, step_note, step_moved = yield from _step(x, c, name, idx, pos, opts, out)
             last[name] = (start, step_note)
             note = note or step_note
             failed = failed or step_note.startswith(DERIVATIVE_NOTE)
             if x_new is not x:
                 x = x_new
+                moved = max(moved, step_moved)
                 out.cost_trace.append(c)
                 if pos is not None:
                     out.pos_max_trace.append(float(x[pos].max()))
@@ -405,7 +405,6 @@ def _ascent(x: np.ndarray, opts: NewtonOptions, pos, blocks):
             out.diverged = True
             note = DIVERGED_NOTE
             break
-        moved = (np.abs(x - x_sweep) / np.maximum(1.0, np.abs(x_sweep))).max()
         if moved < opts.step_tol or (joint and c - c_sweep < opts.cost_tol * (1.0 + abs(c))):
             out.converged = not note
             break
@@ -421,23 +420,25 @@ def _ascent(x: np.ndarray, opts: NewtonOptions, pos, blocks):
 def _step(x, c, name, idx, pos, opts: NewtonOptions, out: NewtonOutcome):
     """One damped Newton step of the block ``name``, the coordinates
     ``idx`` of ``x``, as part of :func:`_ascent`.  Returns the point and
-    cost it accepts, or ``x`` and ``c`` with a note if its derivatives
-    failed or its line search found no ascent step; ``x`` and ``c`` with
-    no note if the step is below ``step_tol``.  Trial points are clamped
-    on the positive coordinates ``pos``, which a step of another block
-    leaves as they are."""
+    cost it accepts with its scaled movement ``max_i |dx_i| / max(1,
+    |x_i|)``, or ``x`` and ``c`` with a note if its derivatives failed or
+    its line search found no ascent step, and with no note if the step is
+    below ``step_tol``.  Trial points are clamped on the positive
+    coordinates ``pos``, which a step of another block leaves as they
+    are."""
     try:
         g, h = yield _DERIVATIVES, x, name
     except (RankDeficiencyError, IndefiniteCovarianceError) as exc:
-        return x, c, f"{DERIVATIVE_NOTE}: {exc}"
+        return x, c, f"{DERIVATIVE_NOTE}: {exc}", 0.0
     out.n_grad_evals += 1
     factor, _ = modified_cholesky(h)
     g = np.asarray(g, dtype=float)
     if not np.isfinite(g).all():
         raise ValueError("gradient contains non-finite entries")
     step = cho_solve(factor, g)
-    if (np.abs(step) / np.maximum(1.0, np.abs(x[idx]))).max() < opts.step_tol:
-        return x, c, ""
+    scale = np.maximum(1.0, np.abs(x[idx]))
+    if (np.abs(step) / scale).max() < opts.step_tol:
+        return x, c, "", 0.0
 
     if pos is not None:
         x_pos = x[pos]
@@ -454,9 +455,9 @@ def _step(x, c, name, idx, pos, opts: NewtonOptions, out: NewtonOutcome):
         c_try = yield _COST, x_try, None
         out.n_cost_evals += 1
         if c < c_try < math.inf:            # a strict, finite increase
-            return x_try, c_try, ""
+            return x_try, c_try, "", (np.abs(x_try[idx] - x[idx]) / scale).max()
         mu *= opts.backtrack
-    return x, c, STALLED_NOTE
+    return x, c, STALLED_NOTE, 0.0
 
 
 def _rows(rows: list) -> np.ndarray:
