@@ -157,9 +157,12 @@ def modified_cholesky(h: np.ndarray, scale: float = 1e-8):
 
 
 def _index(mask, shape):
-    """The coordinates a boolean mask flags, as an index, or ``None`` if it
-    flags none: a slice when they are contiguous, as the noise parameters
-    and the parameter blocks are, since a slice indexes without copying."""
+    """The coordinates a boolean mask flags, as an index, or ``None`` if
+    there is no mask or it flags none: a slice when they are contiguous,
+    as the noise parameters and the parameter blocks are, since a slice
+    indexes without copying."""
+    if mask is None:
+        return None
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != shape:
         raise ValueError("positive mask and blocks must match the parameter vector")
@@ -168,14 +171,6 @@ def _index(mask, shape):
         return None
     lo, hi = int(idx[0]), int(idx[-1]) + 1
     return slice(lo, hi) if hi - lo == idx.size else idx
-
-
-def _schedule(shape, positive, blocks):
-    """The index of the positive-flagged coordinates (``None`` if none)
-    and the block schedule of :func:`_ascent`: ``None`` for joint steps,
-    or per block its name and index."""
-    pos = None if positive is None else _index(positive, shape)
-    return pos, None if blocks is None else [(name, _index(mask, shape)) for name, mask in blocks.items()]
 
 
 def newton_maximize(
@@ -232,7 +227,7 @@ def newton_maximize(
     """
     opts = options or NewtonOptions()
     x = np.array(x0, dtype=float, copy=True)
-    run = _ascent(x, opts, *_schedule(x.shape, positive, blocks))
+    run = _ascent(x, opts, positive, blocks)
     kind, x, block = next(run)
     while True:
         try:
@@ -298,8 +293,7 @@ def newton_lanes(
     """
     opts = options or NewtonOptions()
     x0 = np.array(x0, dtype=float, copy=True)
-    pos, schedule = _schedule(x0.shape[1:], positive, blocks)
-    runs = [_ascent(x, opts, pos, schedule) for x in x0]
+    runs = [_ascent(x, opts, positive, blocks) for x in x0]
     asks = {i: next(run) for i, run in enumerate(runs)}     # lane -> (kind, x, block)
     outs = [None] * len(runs)
     requests = [(_DERIVATIVES, name) for name in blocks or (None,)] + [(_COST, None)]
@@ -333,7 +327,7 @@ _COST, _DERIVATIVES = "cost", "derivatives"
 DERIVATIVE_NOTE = "derivative evaluation failed"
 
 
-def _ascent(x: np.ndarray, opts: NewtonOptions, pos, blocks):
+def _ascent(x: np.ndarray, opts: NewtonOptions, positive, blocks):
     """One damped Newton ascent from ``x``, as a generator: it yields
     ``(_COST, x, None)`` and ``(_DERIVATIVES, x, block)`` requests, takes
     each cost, or the block's ``(gradient, hessian)`` pair, as the value
@@ -341,10 +335,11 @@ def _ascent(x: np.ndarray, opts: NewtonOptions, pos, blocks):
     derivatives as thrown into it, and returns its :class:`NewtonOutcome`.
     Its errors propagate.  It never writes to an array it has yielded.
 
-    A run is a sequence of sweeps, each one :func:`_step` per block of
-    ``blocks`` (see :func:`_schedule`).  A joint run is one block, named
-    ``None``, of every coordinate, whose sweeps, capped by ``max_iters``,
-    are its iterations; a blocked run's are capped by ``max_outer``.
+    ``positive`` and ``blocks`` are those of :func:`newton_maximize`.  A
+    run is a sequence of sweeps, each one :func:`_step` per block.  A
+    joint run is one block, named ``None``, of every coordinate, whose
+    sweeps, capped by ``max_iters``, are its iterations; a blocked run's
+    are capped by ``max_outer``.
     After a sweep, the run stops
 
     - if a block's derivatives failed, with the sweep's first note;
@@ -361,11 +356,13 @@ def _ascent(x: np.ndarray, opts: NewtonOptions, pos, blocks):
     one iteration per sweep; a joint run counts its start cost once and
     its accepted steps.
     """
+    pos = _index(positive, x.shape)
+    joint = blocks is None
+    blocks = [(None, slice(None))] if joint else [(name, _index(m, x.shape)) for name, m in blocks.items()]
     c = yield _COST, x, None
     if not math.isfinite(c):
         raise ValueError("cost is not finite at the starting point")
 
-    joint = blocks is None
     out = NewtonOutcome(x=x, cost=c, n_cost_evals=int(joint))
     out.cost_trace.append(c)
     if pos is not None:
@@ -373,8 +370,6 @@ def _ascent(x: np.ndarray, opts: NewtonOptions, pos, blocks):
             raise ValueError("positive-flagged coordinates must start positive")
         out.pos_max_trace.append(float(x[pos].max()))
         pos_limit = opts.divergence_factor * out.pos_max_trace[0]
-    if joint:
-        blocks = [(None, slice(None))]
     last = {}               # block -> (bytes of x its last step started from, its note)
 
     for _ in range(opts.max_iters if joint else opts.max_outer):
@@ -419,13 +414,13 @@ def _ascent(x: np.ndarray, opts: NewtonOptions, pos, blocks):
 
 def _step(x, c, name, idx, pos, opts: NewtonOptions, out: NewtonOutcome):
     """One damped Newton step of the block ``name``, the coordinates
-    ``idx`` of ``x``, as part of :func:`_ascent`.  Returns the point and
-    cost it accepts with its scaled movement ``max_i |dx_i| / max(1,
-    |x_i|)``, or ``x`` and ``c`` with a note if its derivatives failed or
-    its line search found no ascent step, and with no note if the step is
-    below ``step_tol``.  Trial points are clamped on the positive
-    coordinates ``pos``, which a step of another block leaves as they
-    are."""
+    ``idx`` of ``x``, for :func:`_ascent`.  Returns ``(x, c, note,
+    moved)``: the point and cost it accepts and its scaled movement
+    ``max_i |dx_i| / max(1, |x_i|)``, or the given point and cost, 0 and
+    a note if the derivatives failed or the line search stalled (no note
+    if the step is below ``step_tol``).  Trial points are clamped on the
+    positive coordinates ``pos``, which a step of another block leaves
+    as they are."""
     try:
         g, h = yield _DERIVATIVES, x, name
     except (RankDeficiencyError, IndefiniteCovarianceError) as exc:
