@@ -53,7 +53,6 @@ from .apn import (
     TARGETS,
     EstimationResult,
     StageCounts,
-    UniformStart,
     ap_add_angle,
     apn_estimate,
     default_exclusion,

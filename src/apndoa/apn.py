@@ -10,6 +10,11 @@ Newton steps over each parameter block: one Newton loop with a block
 schedule (:func:`~apndoa.newton.newton_maximize`'s ``blocks``) runs all
 five stage-3 targets.
 
+Stage 1 depends on the covariance and the settings alone, so it runs
+once per :class:`~apndoa.workspace.SampleCovariance` and settings: the
+covariance keeps its outcome in a memo, and every later target run on
+the same object starts from it (see :func:`estimate_lanes`).
+
 Targets
 -------
 ``dmlo``
@@ -58,7 +63,6 @@ from . import flops as flop_model
 __all__ = [
     "TARGETS",
     "StageCounts",
-    "UniformStart",
     "EstimationResult",
     "ap_add_angle",
     "init_noise",
@@ -82,28 +86,15 @@ class StageCounts:
 
 
 @dataclass(frozen=True)
-class UniformStart:
-    """The outcome of stage 1 on one covariance, and what it was made from.
-
-    Stage 1 depends only on the covariance, the geometry, k, the line
-    search grid and exclusion radius, and the Newton options other than
-    ``hessian_mode``, so every target run on one batch shares it: pass
-    ``EstimationResult.start`` as ``apn_estimate(..., start=...)``.
-    ``theta`` is sorted ascending and read-only; ``stage1`` holds the
-    per-insertion counts and ``converged`` whether every refinement
-    converged.  ``grid_size`` and ``exclusion_radius`` are the resolved
-    values, defaults filled in.
-    """
+class _UniformStart:
+    """The outcome of stage 1 on one covariance, as its memo keeps it:
+    ``theta`` sorted ascending and read-only, ``stage1`` the
+    per-insertion counts, and ``converged`` whether every refinement
+    converged."""
 
     theta: np.ndarray
     stage1: tuple
     converged: bool
-    r_z: SampleCovariance
-    geometry: ArrayGeometry
-    k: int
-    grid_size: int
-    exclusion_radius: float
-    options: NewtonOptions
 
 
 @dataclass
@@ -116,8 +107,7 @@ class EstimationResult:
     each) for the alternating ones.  ``flop_estimate`` applies the
     closed-form per-iteration polynomials to the recorded iteration
     counts; like ``stage1`` it is the run's standalone cost, also when
-    stage 1 came in as a shared ``start``.  ``start`` is the stage-1
-    outcome, for other targets on the same covariance.
+    stage 1 came from the covariance's memo (see :func:`estimate_lanes`).
     """
 
     target: str
@@ -132,7 +122,6 @@ class EstimationResult:
     stage3: StageCounts | None
     flop_estimate: float
     note: str = ""
-    start: UniformStart | None = None
 
     @property
     def iters_stage1(self) -> int:
@@ -318,7 +307,9 @@ class _Workspaces:
     once, and :meth:`at` gathers the lanes it is asked for into one
     stack.  A single lane is not stacked: its workspaces are the
     unstacked ones, whose arrays have no lane axis, which saves the
-    stacked calls' overhead where nothing is shared.
+    stacked calls' overhead where nothing is shared.  A single lane's
+    build at the angles of its last or held entry, as a lambda step's
+    is, takes that entry's steering set.
     """
 
     def __init__(self, covariances, geometry: ArrayGeometry):
@@ -386,16 +377,19 @@ class _Workspaces:
     def _at_single(self, theta: np.ndarray, lam: np.ndarray, hold: bool):
         """:meth:`at` for a single lane, on unstacked workspaces."""
         key = (theta.tobytes(), lam.tobytes())
-        entry = self._last[0]
-        if entry is None or entry[0] != key:
-            entry = self._held[0]
-            if entry is None or entry[0] != key:
-                self._last[0] = None
-                try:
-                    ws = build_workspace(self.covariances[0], steering_set(self.geometry, theta), lam)
-                except (RankDeficiencyError, ValueError):     # the point is infeasible
-                    return None, np.zeros(1, dtype=bool)
-                entry = self._last[0] = (key, ws, None)
+        kept = [e for e in (self._last[0], self._held[0]) if e is not None]
+        entry = next((e for e in kept if e[0] == key), None)
+        if entry is None:
+            self._last[0] = None
+            # a lambda step keeps theta, and with it the steering set
+            steering = next((e[1].steering for e in kept if e[0][0] == key[0]), None)
+            try:
+                if steering is None:
+                    steering = steering_set(self.geometry, theta)
+                ws = build_workspace(self.covariances[0], steering, lam)
+            except (RankDeficiencyError, ValueError):     # the point is infeasible
+                return None, np.zeros(1, dtype=bool)
+            entry = self._last[0] = (key, ws, None)
         if hold:
             self._held[0] = entry
         return entry[1], None
@@ -549,7 +543,7 @@ def _stage1(points: _Workspaces, lanes: np.ndarray, k: int, opts: NewtonOptions,
     """Stage 1 on ``lanes``: k insertion line searches, each followed by
     uniform-noise Newton refinement of all angles so far, one Newton run
     over every lane per insertion.  Returns per lane a
-    :class:`UniformStart`, or the error that stopped the lane."""
+    :class:`_UniformStart`, or the error that stopped the lane."""
     theta = {i: np.empty(0) for i in lanes}
     counts = {i: [] for i in lanes}
     converged = dict.fromkeys(lanes, True)
@@ -582,36 +576,8 @@ def _stage1(points: _Workspaces, lanes: np.ndarray, k: int, opts: NewtonOptions,
     for i, t in theta.items():
         t = np.sort(t)
         t.flags.writeable = False
-        starts[i] = UniformStart(
-            theta=t,
-            stage1=tuple(counts[i]),
-            converged=converged[i],
-            r_z=points.covariances[i],
-            geometry=points.geometry,
-            k=k,
-            grid_size=grid,
-            exclusion_radius=r_excl,
-            options=opts,
-        )
+        starts[i] = _UniformStart(theta=t, stage1=tuple(counts[i]), converged=converged[i])
     return starts
-
-
-def _check_start(start, rz, geometry, k, opts, grid, r_excl) -> None:
-    """Refuse a stage-1 start made from other inputs than this run's."""
-    if not isinstance(start, UniformStart):
-        raise TypeError("start must be the UniformStart of an earlier estimate")
-    same = (
-        ("covariance object", start.r_z is rz),
-        ("geometry", np.array_equal(start.geometry.positions, geometry.positions)),
-        ("k", start.k == k),
-        ("grid size", start.grid_size == grid),
-        ("exclusion radius", start.exclusion_radius == r_excl),
-        # stage 1 does not read hessian_mode, which sml-red alone changes
-        ("Newton options", dataclasses.replace(start.options, hessian_mode=opts.hessian_mode) == opts),
-    )
-    for what, ok in same:
-        if not ok:
-            raise ValueError(f"start was made for another {what}")
 
 
 def apn_estimate(
@@ -622,7 +588,6 @@ def apn_estimate(
     options: NewtonOptions | None = None,
     grid_size: int | None = None,
     exclusion_radius: float | None = None,
-    start: UniformStart | None = None,
 ) -> EstimationResult:
     """Run the full estimation pipeline on a snapshot matrix.
 
@@ -638,13 +603,6 @@ def apn_estimate(
     options : NewtonOptions, optional
         ``hessian_mode`` is forced to 'reduced' for the ``sml-red``
         target.
-    start : UniformStart, optional
-        The ``start`` of an earlier result on the same
-        :class:`SampleCovariance` object, with the same geometry, k,
-        grid, exclusion radius and options (``hessian_mode`` aside).
-        Stage 1 is then taken from it instead of being run again; the
-        result is the same, counts and ``flop_estimate`` included.  A
-        start made from other inputs raises ``ValueError``.
 
     Notes
     -----
@@ -653,16 +611,16 @@ def apn_estimate(
     stacks; it raises the error that its lane's result holds.  A single
     lane's workspaces are unstacked (M x K and M x M).  Cost and
     derivative calls at one (theta, lambda) point share one workspace:
-    see :class:`_Workspaces`.
+    see :class:`_Workspaces`.  A :class:`SampleCovariance` given here
+    keeps its stage 1 for later targets, as :func:`estimate_lanes`
+    describes; a snapshot matrix makes a new covariance on every call.
     """
     if not isinstance(z, SampleCovariance):
         z = np.asarray(z, dtype=complex)
         if z.ndim != 2 or z.shape[0] != geometry.m:
             raise ValueError("snapshot matrix must be M x N")
         z = sample_covariance(z)
-    (res,) = estimate_lanes(
-        [z], geometry, k, target, options, grid_size, exclusion_radius, starts=[start]
-    )
+    (res,) = estimate_lanes([z], geometry, k, target, options, grid_size, exclusion_radius)
     if isinstance(res, Exception):
         raise res
     return res
@@ -676,7 +634,6 @@ def estimate_lanes(
     options: NewtonOptions | None = None,
     grid_size: int | None = None,
     exclusion_radius: float | None = None,
-    starts=None,
 ) -> list:
     """Run the pipeline on T sample covariances at once, one lane each.
 
@@ -684,16 +641,22 @@ def estimate_lanes(
     on its covariance alone.  Stage 1's uniform Newton and the stage-3
     Newton of every target, joint or alternating, run every lane in one
     :func:`newton_lanes` call, on (T, M, K) steering and (T, M, M)
-    covariance stacks; the insertion line searches and the stage-2 fits
+    covariances stacks; the insertion line searches and the stage-2 fits
     run lane by lane.
+
+    Stage 1 depends only on the covariance, the geometry, k, the
+    resolved grid size and exclusion radius, and the Newton options
+    other than ``hessian_mode``.  Its outcome is kept in a memo on each
+    lane's :class:`SampleCovariance` under those inputs, so a later
+    call with the same inputs on the same covariance object takes it
+    from there instead of running it again (a failed stage 1 is not
+    kept).  Results are the same either way, counts and
+    ``flop_estimate`` included.
 
     Parameters
     ----------
     covariances : sequence of SampleCovariance
         One per lane, all M x M with one snapshot count.
-    starts : sequence, optional
-        Per lane, ``None`` or the :class:`UniformStart` to take stage 1
-        from, as ``apn_estimate``'s ``start``.
     geometry, k, target, options, grid_size, exclusion_radius
         As for :func:`apn_estimate`, shared by every lane.
 
@@ -720,23 +683,20 @@ def estimate_lanes(
     grid, r_excl = _line_search(geometry, grid_size, exclusion_radius)
     m = geometry.m
     points = _Workspaces(covariances, geometry)
-    starts = [None] * len(covariances) if starts is None else list(starts)
     results: list = [None] * len(covariances)
 
     # -- stage 1: insertion line searches + uniform Newton refinement -----
-    for i, start in enumerate(starts):
-        if start is not None:
-            try:
-                _check_start(start, covariances[i], geometry, k, opts, grid, r_excl)
-            except ValueError as exc:
-                results[i] = exc
+    # stage 1 does not read hessian_mode, which sml-red alone changes
+    uniform_opts = dataclasses.replace(opts, hessian_mode="full")
+    key = ("stage1", geometry.positions.tobytes(), k, grid, r_excl, uniform_opts)
+    starts = [rz._memo.get(key) for rz in covariances]
     need = np.array([i for i, st in enumerate(starts) if st is None], dtype=int)
     if need.size:
         for i, st in _stage1(points, need, k, opts, grid, r_excl).items():
             if isinstance(st, Exception):
                 results[i] = st
             else:
-                starts[i] = st
+                starts[i] = covariances[i]._memo[key] = st
     lanes = np.array([i for i, r in enumerate(results) if r is None], dtype=int)
     if not lanes.size:
         return results
@@ -762,7 +722,6 @@ def estimate_lanes(
                 stage1=starts[i].stage1,
                 stage3=None,
                 flop_estimate=flops(i, None),
-                start=starts[i],
             )
         return results
 
@@ -818,7 +777,6 @@ def estimate_lanes(
             stage3=stage3,
             flop_estimate=flops(i, stage3),
             note=out.note,
-            start=starts[i],
         )
     return results
 

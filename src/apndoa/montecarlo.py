@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .apn import TARGETS, EstimationResult, estimate_lanes
+from .apn import TARGETS, estimate_lanes
 from .arrays import (
     ArrayGeometry,
     DeterministicModel,
@@ -302,8 +302,7 @@ def _run_group(config: ScenarioConfig, keys, lam) -> list:
 
     Every cell's batch is drawn first; each APN estimator then runs on
     all of them at once, one lane per cell (see
-    :func:`~apndoa.apn.estimate_lanes`), and the APN estimators share the
-    stage 1 of the first one that succeeds on a batch.
+    :func:`~apndoa.apn.estimate_lanes`).
     """
     covariances = []
     for si, t in keys:
@@ -311,7 +310,6 @@ def _run_group(config: ScenarioConfig, keys, lam) -> list:
         z = synthesize(config.geometry, config.theta_true, config.source_model, lam[si], config.n_snapshots, rng)
         covariances.append(sample_covariance(z))
     records = [[] for _ in keys]
-    starts = [None] * len(keys)
     for est in config.estimators:
         if est == "music":
             results = []
@@ -322,15 +320,11 @@ def _run_group(config: ScenarioConfig, keys, lam) -> list:
                     results.append(exc)
         else:
             try:
-                results = estimate_lanes(
-                    covariances, config.geometry, config.k, target=est, options=config.options, starts=starts
-                )
+                results = estimate_lanes(covariances, config.geometry, config.k, target=est, options=config.options)
             except (np.linalg.LinAlgError, ValueError) as exc:
                 results = [exc] * len(keys)
         for j, ((si, t), res) in enumerate(zip(keys, results)):
             records[j].append(_record(config, est, config.snr_db[si], t, res))
-            if starts[j] is None and isinstance(res, EstimationResult):
-                starts[j] = res.start
     return [r for cell in records for r in cell]
 
 
@@ -384,9 +378,10 @@ def run_monte_carlo(config: ScenarioConfig, threads: int | None = None) -> Monte
     grouping never shows in the output.  Stage 1 of the APN pipeline
     (insertion and uniform-noise Newton) depends only on the batch, so
     it runs once per cell, in the first APN estimator that succeeds, and
-    the later ones take its :class:`~apndoa.apn.UniformStart`; each
-    record's ``iters_stage1`` and ``flop_estimate`` stay that
-    estimator's standalone figures.  With ``threads`` > 1 the groups run
+    the later ones take it from the memo of the cell's
+    :class:`~apndoa.workspace.SampleCovariance`; each record's
+    ``iters_stage1`` and ``flop_estimate`` stay that estimator's
+    standalone figures.  With ``threads`` > 1 the groups run
     on a thread pool; records are assembled in cell order and aggregated
     order-insensitively, so results do not depend on the worker count.
     Estimator failures (``LinAlgError`` and ``ValueError``) are recorded,

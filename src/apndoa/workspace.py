@@ -78,14 +78,18 @@ class SampleCovariance:
     """Sample covariance R_z = (1/N) Z Z^H together with the snapshot count.
 
     ``matrix`` is M x M, or a (T, M, M) stack of T lanes' covariances
-    with one snapshot count (see :meth:`stack`).
+    with one snapshot count (see :meth:`stack`).  It is a read-only copy
+    of the array given, so what is derived from it cannot go stale: the
+    estimators keep such results, stage 1 of :mod:`apndoa.apn` among
+    them, in the private ``_memo``, by what else they depend on.
     """
 
     matrix: np.ndarray
     n_snapshots: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = np.asarray(self.matrix, dtype=complex)
+        r = np.array(self.matrix, dtype=complex)
         if r.ndim not in (2, 3) or r.shape[-2] != r.shape[-1]:
             raise ValueError("covariance must be square")
         if self.n_snapshots < 1:
@@ -95,6 +99,7 @@ class SampleCovariance:
         scale = max(np.abs(r).max(), 1.0)
         if np.abs(r - r.conj().mT).max() > 1e-12 * scale:
             raise ValueError("covariance must be Hermitian")
+        r.flags.writeable = False
         object.__setattr__(self, "matrix", r)
 
     @property
@@ -121,6 +126,7 @@ class SampleCovariance:
         out = object.__new__(cls)
         object.__setattr__(out, "matrix", matrix)
         object.__setattr__(out, "n_snapshots", n)
+        object.__setattr__(out, "_memo", {})
         return out
 
 

@@ -258,38 +258,56 @@ def test_precomputed_covariance_is_accepted():
     assert np.array_equal(a.theta, b.theta)
 
 
-def test_a_shared_start_gives_the_standalone_result():
-    rz = sample_covariance(benchmark_batch(20.0))
-    start = apn_estimate(rz, GEOM, 3, target="dmlo").start
-    assert not start.theta.flags.writeable
-    # sml-red differs from dmlo's options in hessian_mode only
-    for target in ("sml", "sml-red"):
-        alone = apn_estimate(rz, GEOM, 3, target=target)
-        shared = apn_estimate(rz, GEOM, 3, target=target, start=start)
-        assert np.array_equal(shared.theta, alone.theta)
-        assert np.array_equal(shared.lam, alone.lam)
-        assert (shared.cost, shared.stage1, shared.stage3) == (alone.cost, alone.stage1, alone.stage3)
-        assert shared.flop_estimate == alone.flop_estimate
-        assert shared.start is start
+def result_fields(res):
+    """Every field of an estimation result, arrays as bytes."""
+    arrays = (res.theta, res.lam, res.theta_initial, res.lam_initial)
+    return tuple(None if a is None else a.tobytes() for a in arrays) + (
+        res.cost, res.converged, res.diverged_lambda, res.note, res.stage1, res.stage3, res.flop_estimate
+    )
+
+
+def test_a_shared_start_gives_the_standalone_result(monkeypatch):
+    """Stage 1 runs once per covariance: after dmlo, every stage-3 target
+    on the same SampleCovariance takes its stage-1 start from the memo
+    and gives what it gives on a fresh copy."""
+    z = benchmark_batch(20.0)
+    targets = ("sml", "sml-red", "sml-alt", "dml-alt")
+    fresh = {t: apn_estimate(sample_covariance(z), GEOM, 3, target=t) for t in targets}
+    insertions = []
+    add = apndoa.apn.ap_add_angle
+    monkeypatch.setattr(apndoa.apn, "ap_add_angle", lambda *a, **kw: insertions.append(1) or add(*a, **kw))
+    rz = sample_covariance(z)
+    apn_estimate(rz, GEOM, 3, target="dmlo")
+    for target in targets:
+        assert result_fields(apn_estimate(rz, GEOM, 3, target=target)) == result_fields(fresh[target])
+    assert len(insertions) == 3
 
 
 @pytest.mark.parametrize(
     "what, change",
     [
-        ("covariance object", lambda rz: dict(z=SampleCovariance(rz.matrix, rz.n_snapshots))),
-        ("geometry", lambda rz: dict(geometry=ArrayGeometry.ula(11, spacing=0.9))),
-        ("k", lambda rz: dict(k=2)),
-        ("grid size", lambda rz: dict(grid_size=100)),
-        ("exclusion radius", lambda rz: dict(exclusion_radius=0.1)),
-        ("Newton options", lambda rz: dict(options=NewtonOptions(max_iters=20))),
+        ("covariance object", lambda: dict(z=sample_covariance(benchmark_batch(20.0, trial=1)))),
+        # same aperture, so the same default exclusion radius
+        ("geometry", lambda: dict(geometry=ArrayGeometry(np.r_[0.0:9.0, 9.5, 10.0]))),
+        ("k", lambda: dict(k=2)),
+        ("grid size", lambda: dict(grid_size=100)),
+        ("exclusion radius", lambda: dict(exclusion_radius=0.5)),
+        ("Newton options", lambda: dict(options=NewtonOptions(max_iters=1))),
     ],
 )
 def test_a_start_made_from_other_inputs_is_refused(what, change):
+    """The memo serves a stage-1 start only to the inputs it was made
+    from: a run with one input changed, after a run that filled the
+    memo, gives what it gives on a fresh covariance.  Each change moves
+    stage 1, so a memo that ignored it would show."""
     rz = sample_covariance(benchmark_batch(20.0))
-    start = apn_estimate(rz, GEOM, 3, target="dmlo").start
-    args = dict(z=rz, geometry=GEOM, k=3, target="sml", start=start)
-    with pytest.raises(ValueError, match=f"start was made for another {what}"):
-        apn_estimate(**(args | change(rz)))
+    filled = apn_estimate(rz, GEOM, 3, target="sml")
+    args = dict(z=rz, geometry=GEOM, k=3, target="sml") | change()
+    after = apn_estimate(**args)
+    copy = SampleCovariance(args["z"].matrix, args["z"].n_snapshots)
+    assert result_fields(after) == result_fields(apn_estimate(**(args | dict(z=copy)))), what
+    stage1 = (after.stage1, after.theta_initial.tobytes())
+    assert stage1 != (filled.stage1, filled.theta_initial.tobytes()), what
 
 
 def test_alternating_target_counts_outer_sweeps():

@@ -209,6 +209,17 @@ def test_sample_covariance_rejects_non_finite_entries():
         SampleCovariance(r, 10)
 
 
+def test_sample_covariance_keeps_a_read_only_copy():
+    """What is kept in a covariance's memo cannot go stale, and the
+    caller's array stays the caller's."""
+    r = np.eye(3, dtype=complex)
+    rz = SampleCovariance(r, 10)
+    assert not rz.matrix.flags.writeable
+    assert r.flags.writeable
+    r[0, 0] = 2.0
+    assert rz.matrix[0, 0] == 1.0
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_direct_lapack_calls_give_the_scipy_and_numpy_bits(seed, k):
