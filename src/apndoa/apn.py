@@ -251,10 +251,12 @@ def init_noise(r_z: SampleCovariance, projection: np.ndarray) -> np.ndarray:
     covariance and reduces to ``diag(R_z)`` when ``P_o = 0``.  Where the
     system is rank deficient (many sources on a regular array), the
     minimum-norm correction is taken from the one-sided fit
-    ``[R_z B]_mm / B_mm``, which is also exact in expectation.  Entries
-    fall back to the signal-free value ``[R_z]_mm^(-1/2)`` whenever the
-    projector diagonal is within 1e-9 of one or the fitted power is not
-    positive.
+    ``[R_z B]_mm / B_mm``, which is also exact in expectation.  Where
+    the projector diagonal is within 1e-9 of one, an entry takes
+    ``[R_z]_mm^(-1/2)``.  Where the fitted power is not positive, it
+    takes the one-sided fit if that is positive, else the smallest
+    positive fitted power: ``[R_z]_mm`` holds the signal power as well,
+    which at high SNR would start lambda far too small.
     """
     rz = r_z.matrix
     diag_r = np.real(np.diagonal(rz))
@@ -271,8 +273,10 @@ def init_noise(r_z: SampleCovariance, projection: np.ndarray) -> np.ndarray:
     rhs = np.real(np.einsum("ij,ji->i", b, rb))
     correction = lstsq(fit, rhs - fit @ one_sided, cond=1e-10, lapack_driver="gelsy")[0]
     q = one_sided + correction
-    bad = saturated | (q <= 0)
-    return np.where(bad, diag_r, q) ** -0.5
+    fitted = ~saturated & (q > 0)
+    # a saturated entry's one-sided value is [R_z]_mm
+    floor = q[fitted].min() if fitted.any() else diag_r
+    return np.where(fitted, q, np.where(one_sided > 0, one_sided, floor)) ** -0.5
 
 
 def _normalize_target(target: str) -> str:

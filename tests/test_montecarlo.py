@@ -507,6 +507,31 @@ def test_a_stalled_run_keeps_its_note():
     assert read_jsonl(io.StringIO(buf.getvalue())).records[1].note == stalled.note
 
 
+def test_sml_red_reaches_the_maximum_from_the_stage2_start():
+    """On the 30 dB batch of the benchmark sweep's seed 1723, round 401,
+    two sensors' fitted noise powers are not positive.  Started at
+    [R_z]_mm^(-1/2), which holds the signal power too, their lambda began
+    some 100x too small and sml-red ran lambda away; started from the
+    one-sided fit it converges to sml's maximum.  Cells are seeded by SNR
+    index, so the grid stays whole; the waveform stays seed 0's, as in
+    the benchmark."""
+    from dataclasses import replace
+
+    from apndoa import apn_estimate
+
+    config = replace(benchmark_scenario(estimators=("sml", "sml-red")), seed=1723 * 1_000_003 + 401, trials=1)
+    records = run_monte_carlo(config).records
+    sml, red = (r for r in records if r.snr_db == 30.0)
+    assert red.estimator == "sml-red" and red.converged and not red.diverged_lambda
+    ((_, rz),) = [c for c in cell_covariances(config) if c[0] == (config.snr_db.index(30.0), 0)]
+    costs = {}
+    for record in (sml, red):
+        res = apn_estimate(rz, config.geometry, config.k, target=record.estimator)
+        assert tuple(res.theta) == tuple(sorted(record.theta_hat))
+        costs[record.estimator] = res.cost
+    assert abs(costs["sml-red"] - costs["sml"]) < 1e-6
+
+
 def test_music_record_shape():
     result = run_monte_carlo(tiny_config(estimators=("music",), trials=1))
     (rec,) = result.records
