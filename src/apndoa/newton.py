@@ -351,10 +351,9 @@ def _ascent(x: np.ndarray, opts: NewtonOptions, positive, blocks):
 
     A block step that would start from the bytes its last step started
     from would repeat that step's outcome, so it is not run: its note
-    stands and nothing is counted.  A blocked run counts the cost at the
-    start of every block step, as a run of that step alone would, and
-    one iteration per sweep; a joint run counts its start cost once and
-    its accepted steps.
+    stands and nothing is counted.  A run counts the costs it asks for,
+    its start cost and each trial point's, and the iterations of a
+    blocked run are its sweeps, those of a joint run its accepted steps.
     """
     pos = _index(positive, x.shape)
     joint = blocks is None
@@ -363,7 +362,7 @@ def _ascent(x: np.ndarray, opts: NewtonOptions, positive, blocks):
     if not math.isfinite(c):
         raise ValueError("cost is not finite at the starting point")
 
-    out = NewtonOutcome(x=x, cost=c, n_cost_evals=int(joint))
+    out = NewtonOutcome(x=x, cost=c, n_cost_evals=1)
     out.cost_trace.append(c)
     if pos is not None:
         if (x[pos] <= 0).any():
@@ -382,7 +381,6 @@ def _ascent(x: np.ndarray, opts: NewtonOptions, positive, blocks):
             if name in last and last[name][0] == start:
                 note = note or last[name][1]
                 continue
-            out.n_cost_evals += not joint
             x_new, c, step_note, step_moved = yield from _step(x, c, name, idx, pos, opts, out)
             last[name] = (start, step_note)
             note = note or step_note

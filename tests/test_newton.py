@@ -343,9 +343,9 @@ def test_each_lane_is_its_own_run(positive, blocks):
         # was not run again
         assert lanes[2].iterations > 1 and lanes[2].n_grad_evals == 2 * lanes[2].iterations - 1
         assert lanes[4].diverged and [out.diverged for out in lanes].count(True) == 1
-        # a stopped lane is not evaluated again; a block step's start cost
-        # is counted but not asked for
+        # a stopped lane is not evaluated again
         assert sum(asked) == sum(calls["n"] for *_, calls in alone_problems)
+        assert sum(asked) == sum(out.n_cost_evals for out in alone)
     else:
         assert lanes[2].iterations == 0
         # a stopped lane is not evaluated again
