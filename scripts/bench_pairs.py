@@ -11,8 +11,11 @@ alternating which side runs first, one run at a time, each for the
 workload and side, the median and quartiles of every end-to-end metric,
 the count of pairs in which the working tree did better, every run's
 values, and the environment (core count, Python, numpy, scipy and BLAS
-versions, ``OPENBLAS_NUM_THREADS``).  The exit code is 1 if any run
-failed.
+versions, ``OPENBLAS_NUM_THREADS``).  Per workload and metric it also
+says, in the JSON and on stderr, whether a gain may be claimed and
+whether the median is worse than the base's by more than the metric's
+``BENCHMARK.json`` bound (see :func:`verdict`).  The exit code is 1 if
+any run failed.
 
 ``--check-only`` compares nothing: in the working tree, for every
 workload and seed, it runs ``apnbench/run.py`` at ``--trace 0`` for the
@@ -81,6 +84,26 @@ def summary(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def verdict(base: list, change: list, better: str, bound: float) -> dict:
+    """What one metric's pairs (``base[i]`` against ``change[i]``) show.
+
+    ``claim_met``: the change did better in at least nine tenths of the
+    pairs, ties counting for neither, and its median is better than the
+    base's by more than the base's interquartile range.
+    ``beyond_bound``: the change's median is worse than the base's by
+    more than ``bound``, relative to the base's median.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    b = summary(base)
+    gain = sign * (summary(change)["median"] - b["median"])
+    return {
+        "change_better_pairs": wins,
+        "claim_met": wins >= 0.9 * len(base) and gain > b["q3"] - b["q1"],
+        "beyond_bound": -gain > bound * abs(b["median"]),
+    }
+
+
 def environment() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -128,7 +151,7 @@ def main(argv=None) -> int:
         return check_only([w["name"] for w in spec["workloads"]], args.seeds, spec["run_seconds"])
     if args.base is None or args.out is None:
         ap.error("--base and --out are required unless --check-only is given")
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = spec["end_to_end"]
     seconds = spec["run_seconds"]
     trees = {"base": export_base(args.base), "change": ROOT}
     ok = True
@@ -154,18 +177,23 @@ def main(argv=None) -> int:
                 ok = ok and run["exit"] == 0 and run["failed"] == 0
             pairs.append({"seed": seed, "first": order[0], **runs})
         metrics = {}
-        for name, direction in better.items():
+        for metric in end_to_end:
+            name = metric["name"]
             base = [p["base"]["values"][name] for p in pairs if name in p["base"]["values"]]
             change = [p["change"]["values"][name] for p in pairs if name in p["change"]["values"]]
             if len(base) != len(pairs) or len(change) != len(pairs):
                 continue
-            sign = 1.0 if direction == "higher" else -1.0
-            metrics[name] = {
-                "better": direction,
+            metrics[name] = m = {
+                "better": metric["better"],
                 "base": summary(base),
                 "change": summary(change),
-                "change_better_pairs": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+                **verdict(base, change, metric["better"], metric["bound"]),
             }
+            print(f"{workload} {name}: base {m['base']['median']:.4g}, change {m['change']['median']:.4g}, "
+                  f"better in {m['change_better_pairs']}/{len(pairs)} pairs, "
+                  f"claim {'met' if m['claim_met'] else 'not met'}, "
+                  f"{'beyond' if m['beyond_bound'] else 'within'} the {metric['bound']:.0%} bound",
+                  file=sys.stderr, flush=True)
         report["workloads"][workload] = {"pairs": len(pairs), "metrics": metrics, "runs": pairs}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0 if ok else 1
