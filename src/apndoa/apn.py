@@ -645,7 +645,7 @@ def estimate_lanes(
     on its covariance alone.  Stage 1's uniform Newton and the stage-3
     Newton of every target, joint or alternating, run every lane in one
     :func:`newton_lanes` call, on (T, M, K) steering and (T, M, M)
-    covariances stacks; the insertion line searches and the stage-2 fits
+    covariance stacks; the insertion line searches and the stage-2 fits
     run lane by lane.
 
     Stage 1 depends only on the covariance, the geometry, k, the

@@ -79,9 +79,9 @@ class SampleCovariance:
 
     ``matrix`` is M x M, or a (T, M, M) stack of T lanes' covariances
     with one snapshot count (see :meth:`stack`).  It is a read-only copy
-    of the array given, so what is derived from it cannot go stale: the
-    estimators keep such results, stage 1 of :mod:`apndoa.apn` among
-    them, in the private ``_memo``, by what else they depend on.
+    of the array given, so a result derived from it cannot go stale:
+    :mod:`apndoa.apn` keeps stage 1 in the private ``_memo``, keyed by
+    the settings it depends on.
     """
 
     matrix: np.ndarray
