@@ -512,9 +512,10 @@ def test_sml_red_reaches_the_maximum_from_the_stage2_start():
     two sensors' fitted noise powers are not positive.  Started at
     [R_z]_mm^(-1/2), which holds the signal power too, their lambda began
     some 100x too small and sml-red ran lambda away; started from the
-    one-sided fit it converges to sml's maximum.  Cells are seeded by SNR
-    index, so the grid stays whole; the waveform stays seed 0's, as in
-    the benchmark."""
+    one-sided fit, or where that is not positive from the smallest
+    positive fitted power, it converges to sml's maximum.  Cells are
+    seeded by SNR index, so the grid stays whole; the waveform stays
+    seed 0's, as in the benchmark."""
     from dataclasses import replace
 
     from apndoa import apn_estimate
