@@ -7,8 +7,9 @@ parameters from a covariance-fitting formula evaluated at the stage-1
 angles.  Stage 3 maximizes the concentrated deterministic or stochastic
 cost over (theta, lambda), either jointly or by alternating single
 Newton steps over each parameter block: one Newton loop with a block
-schedule (:func:`~apndoa.newton.newton_maximize`'s ``blocks``) runs all
-five stage-3 targets.
+schedule runs all five stage-3 targets, and every Newton run of stages 1
+and 3, for one lane or many, goes through one driver,
+:func:`~apndoa.newton.newton_lanes`.
 
 Stage 1 depends on the covariance and the settings alone, so it runs
 once per :class:`~apndoa.workspace.SampleCovariance` and settings: the
@@ -44,7 +45,7 @@ from scipy.linalg import lstsq
 from ._lapack import complete_qr
 from .arrays import ArrayGeometry, angles_valid, steering_set
 from .derivatives import grad_dml_uniform, grad_hess, hess_dml_uniform
-from .newton import NewtonOptions, NewtonOutcome, newton_lanes, newton_maximize
+from .newton import NewtonOptions, NewtonOutcome, newton_lanes
 from .workspace import (
     IndefiniteCovarianceError,
     RankDeficiencyError,
@@ -297,7 +298,8 @@ def _stage_counts(out: NewtonOutcome, candidates: int = 0) -> StageCounts:
 
 class _Workspaces:
     """The workspaces of one estimate over T lanes, keyed per lane by the
-    exact bytes of (theta, lambda).
+    exact bytes of the point: [theta, lambda], or theta alone where
+    lambda is one.
 
     Per lane two entries are kept: the last workspace built, and the one
     whose derivatives were taken last (``hold=True``).  Newton asks for
@@ -306,14 +308,16 @@ class _Workspaces:
     stopped: at that point or, after a line search found no ascent step,
     at the held one.  No block step is repeated from the same start
     (see :func:`~apndoa.newton._ascent`), so no point is built twice.
-    Keys are bytes, not array identities.  A failed build leaves the last-built entry
-    empty.  An entry is a lane of a stack built for several lanes at
-    once, and :meth:`at` gathers the lanes it is asked for into one
-    stack.  A single lane is not stacked: its workspaces are the
-    unstacked ones, whose arrays have no lane axis, which saves the
-    stacked calls' overhead where nothing is shared.  A single lane's
-    build at the angles of its last or held entry, as a lambda step's
-    is, takes that entry's steering set.
+    Keys are bytes, not array identities.  A failed build leaves the
+    last-built entry empty.
+
+    The representation is chosen once, by the lane count.  Entries of a
+    store of several lanes are lanes of stacks built for several lanes
+    at once, and :meth:`at` gathers the lanes it is asked for into one
+    stack.  A store of one lane keeps unstacked workspaces, whose arrays
+    have no lane axis: a stack of one costs more per call, and nothing
+    is shared.  Its build at the angles of its last or held entry, as a
+    lambda step's is, takes that entry's steering set.
     """
 
     def __init__(self, covariances, geometry: ArrayGeometry):
@@ -321,148 +325,142 @@ class _Workspaces:
         self.single = len(covariances) == 1
         self.r_z = None if self.single else SampleCovariance.stack(covariances)
         self.geometry = geometry
-        self._last = [None] * len(covariances)     # (key, stack, row)
+        # (T, M) noise parameters equal to one, for the uniform cost
+        self.ones = np.ones((len(covariances), geometry.m))
+        self.ones.flags.writeable = False
+        self._last = [None] * len(covariances)     # (key, workspace, row)
         self._held = [None] * len(covariances)
 
-    def at(self, lanes, theta: np.ndarray, lam: np.ndarray, hold: bool = False):
-        """The stacked workspace at the rows of (theta, lam), one row per
-        lane of ``lanes``, and ``None`` if every row has one, or else a
-        mask of the rows that have one: rows with invalid angles or noise
-        parameters have none (and the workspace is None if no row has
-        one).  Rank-deficient rows are in the stack, marked in
-        ``full_rank``."""
+    def at(self, lanes: list, x: np.ndarray, k: int | None = None, hold: bool = False):
+        """The workspace at the rows of ``x``, one row per lane of
+        ``lanes``: [theta, lambda] rows with k angles, or with ``k`` None
+        rows of angles and lambda one.  Returns it and ``None`` if every
+        row has one, or else a mask of the rows that have one: rows with
+        invalid angles or noise parameters have none (and the workspace
+        is None if no row has one).  For a store of several lanes the
+        workspace is a stack, in which rank-deficient rows are marked in
+        ``full_rank``; for a store of one it is unstacked, and a
+        rank-deficient row has none."""
         last, held = self._last, self._held
-        if self.single:
-            return self._at_single(theta[0], lam[0], hold)
         refs = []
         missing = []
-        for j, lane in enumerate(lanes.tolist()):
-            key = (theta[j].tobytes(), lam[j].tobytes())
+        for j, lane in enumerate(lanes):
+            key = x[j].tobytes()
             entry = last[lane]
             if entry is None or entry[0] != key:
                 entry = held[lane]
                 if entry is None or entry[0] != key:
-                    last[lane] = None
                     missing.append(j)
                     entry = key
             refs.append(entry)
         ok = None
         if missing:
-            rows = np.array(missing)
-            try:
-                if len(missing) == len(lanes):
-                    ws = build_workspace(self.r_z.lanes(lanes), steering_set(self.geometry, theta), lam)
-                else:
-                    ws = build_workspace(
-                        self.r_z.lanes(lanes[rows]), steering_set(self.geometry, theta[rows]), lam[rows]
-                    )
-            except ValueError:
-                # a row's angles or noise parameters are invalid: build the others
-                lm = lam[rows]
-                valid = angles_valid(theta[rows]) & (lm > 0.0).all(axis=-1) & (lm < np.inf).all(axis=-1)
-                ok = np.ones(len(lanes), dtype=bool)
-                ok[rows[~valid]] = False
-                rows = rows[valid]
-                ws = None
-                if rows.size:
-                    ws = build_workspace(
-                        self.r_z.lanes(lanes[rows]), steering_set(self.geometry, theta[rows]), lam[rows]
-                    )
-            for r, j in enumerate(rows.tolist()):
-                refs[j] = (refs[j], ws, r)
-                if ws.all_full_rank or ws.full_rank[r]:
-                    last[lanes[j]] = refs[j]
+            theta, lam = (x, self.ones[:len(x)]) if k is None else (x[:, :k], x[:, k:])
+            build = self._build_single if self.single else self._build_stack
+            ok = build(lanes, theta, lam, missing, refs)
         found = refs if ok is None else [ref for ref, o in zip(refs, ok) if o]
         if hold:
-            for lane, ref in zip(lanes.tolist() if ok is None else lanes[ok].tolist(), found):
+            for lane, ref in zip(lanes if ok is None else [lane for lane, o in zip(lanes, ok) if o], found):
                 held[lane] = ref
-        return (_gather(found) if found else None), ok
+        if not found:
+            return None, ok
+        return (found[0][1] if self.single else _gather(found)), ok
 
-    def _at_single(self, theta: np.ndarray, lam: np.ndarray, hold: bool):
-        """:meth:`at` for a single lane, on unstacked workspaces."""
-        key = (theta.tobytes(), lam.tobytes())
-        kept = [e for e in (self._last[0], self._held[0]) if e is not None]
-        entry = next((e for e in kept if e[0] == key), None)
-        if entry is None:
-            self._last[0] = None
-            # a lambda step keeps theta, and with it the steering set
-            steering = next((e[1].steering for e in kept if e[0][0] == key[0]), None)
-            try:
-                if steering is None:
-                    steering = steering_set(self.geometry, theta)
-                ws = build_workspace(self.covariances[0], steering, lam)
-            except (RankDeficiencyError, ValueError):     # the point is infeasible
-                return None, np.zeros(1, dtype=bool)
-            entry = self._last[0] = (key, ws, None)
-        if hold:
-            self._held[0] = entry
-        return entry[1], None
+    def _build_single(self, lanes, theta, lam, missing, refs):
+        """Build the one lane's workspace into ``refs``; ``None``, or a
+        mask of False if its point is infeasible."""
+        key = refs[0]
+        angles = theta[0].tobytes()
+        # a lambda step keeps theta, and with it the steering set
+        steering = None
+        for entry in (self._last[0], self._held[0]):
+            if entry is not None and entry[0][:len(angles)] == angles:
+                steering = entry[1].steering
+                break
+        self._last[0] = None
+        try:
+            if steering is None:
+                steering = steering_set(self.geometry, theta[0])
+            ws = build_workspace(self.covariances[0], steering, lam[0])
+        except (RankDeficiencyError, ValueError):     # the point is infeasible
+            return np.zeros(1, dtype=bool)
+        refs[0] = self._last[0] = (key, ws, None)
+        return None
 
-    def ones(self, n: int) -> np.ndarray:
-        """(n, M) noise parameters equal to one, for the uniform cost."""
-        return np.ones((n, self.geometry.m))
+    def _build_stack(self, lanes, theta, lam, missing, refs):
+        """Build the ``missing`` rows' workspaces, as one stack, into
+        ``refs``; ``None``, or a mask of the rows that have one."""
+        last = self._last
+        for j in missing:
+            last[lanes[j]] = None
+        rows = np.array(missing)
+        ok = None
+        try:
+            if len(missing) == len(lanes):
+                ws = build_workspace(self.r_z.lanes(lanes), steering_set(self.geometry, theta), lam)
+            else:
+                ws = build_workspace(
+                    self.r_z.lanes([lanes[j] for j in missing]), steering_set(self.geometry, theta[rows]), lam[rows]
+                )
+        except ValueError:
+            # a row's angles or noise parameters are invalid: build the others
+            lm = lam[rows]
+            valid = angles_valid(theta[rows]) & (lm > 0.0).all(axis=-1) & (lm < np.inf).all(axis=-1)
+            ok = np.ones(len(lanes), dtype=bool)
+            ok[rows[~valid]] = False
+            rows = rows[valid]
+            ws = None
+            if rows.size:
+                ws = build_workspace(
+                    self.r_z.lanes([lanes[j] for j in rows.tolist()]),
+                    steering_set(self.geometry, theta[rows]),
+                    lam[rows],
+                )
+        for r, j in enumerate(rows.tolist()):
+            refs[j] = (refs[j], ws, r)
+            if ws.all_full_rank or ws.full_rank[r]:
+                last[lanes[j]] = refs[j]
+        return ok
 
 
 class _Problem:
-    """What one Newton run maximizes over the lanes of a store: a cost and
-    its derivatives at the rows ``x`` of the lanes, where ``x`` is
-    [theta, lambda] or, for stage 1 (``k`` None), theta with lambda one.
+    """What one Newton run maximizes over the lanes ``lanes`` of a store:
+    a cost and its derivatives at the rows ``x`` of the lanes, where
+    ``x`` is [theta, lambda] or, for stage 1 (``k`` None), theta with
+    lambda one.
 
-    ``costs`` and ``grad_hess`` are the lane callbacks of
-    :func:`newton_lanes`; ``cost`` and ``grad_hess_one`` are those of
-    :func:`newton_maximize` for a store of a single lane.  The
-    derivative callbacks take the block a blocked run asks for.
+    ``costs`` and ``grad_hess`` are the callbacks of :func:`newton_lanes`,
+    whose lanes, its rows of ``x0``, index ``lanes``; the derivative
+    callback takes the block a blocked run asks for.  A call for as many
+    rows as there are lanes is for every lane, since the rows ascend.
     """
 
-    def __init__(self, points: _Workspaces, cost, derivatives, k=None, stochastic=False):
+    def __init__(self, points: _Workspaces, lanes: list, cost, derivatives, k=None, stochastic=False):
         self.points = points
+        self.lanes = lanes
         self.cost_of = cost
         self.derivatives = derivatives
         self.k = k
         self.stochastic = stochastic
-        self.ones = np.ones(points.geometry.m)
 
-    def _split(self, x):
-        """(theta, lambda) rows of the (L, n) rows x."""
-        if self.k is None:
-            return x, self.points.ones(len(x))
-        return x[:, :self.k], x[:, self.k:]
+    def _lanes(self, rows):
+        return self.lanes if len(rows) == len(self.lanes) else [self.lanes[r] for r in rows]
 
-    def _point(self, x):
-        """(theta, lambda) of one lane's vector x."""
-        if self.k is None:
-            return x, self.ones
-        return x[:self.k], x[self.k:]
+    def costs(self, x, rows):
+        return _lane_costs(*self.points.at(self._lanes(rows), x, self.k), self.cost_of)
 
-    def costs(self, x, lanes):
-        return _lane_costs(*self.points.at(lanes, *self._split(x)), self.cost_of)
-
-    def grad_hess(self, x, lanes, block=None):
-        ws, ok = self.points.at(lanes, *self._split(x), hold=True)
-        return _derivatives(ws, ok, lambda ws: self.derivatives(ws, block), self.stochastic)
-
-    def cost(self, x) -> float:
-        ws, _ = self.points._at_single(*self._point(x), False)
-        if ws is None:
-            return -np.inf
-        try:
-            return self.cost_of(ws)
-        except (np.linalg.LinAlgError, ValueError):      # the point is infeasible
-            return -np.inf
-
-    def grad_hess_one(self, x, block=None):
-        ws, _ = self.points._at_single(*self._point(x), True)
-        if ws is None:
-            raise rank_error()
-        return self.derivatives(ws, block)
+    def grad_hess(self, x, rows, block=None):
+        ws, ok = self.points.at(self._lanes(rows), x, self.k, hold=True)
+        return _derivatives(ws, ok, self.derivatives, block, self.stochastic)
 
 
-def _lane_costs(ws, ok, cost) -> np.ndarray:
-    """``cost`` per row of :meth:`_Workspaces.at`'s result: -inf for rows
-    without a workspace."""
+def _lane_costs(ws, ok, cost) -> list:
+    """``cost`` per row of :meth:`_Workspaces.at`'s result, as floats:
+    -inf for rows without a workspace, and for an unstacked workspace
+    whose cost raises."""
     if ok is None:
         if ws.stacked:
-            return cost(ws)
+            return cost(ws).tolist()
         try:
             return [cost(ws)]
         except (np.linalg.LinAlgError, ValueError):      # the point is infeasible
@@ -470,7 +468,7 @@ def _lane_costs(ws, ok, cost) -> np.ndarray:
     c = np.full(len(ok), -np.inf)
     if ws is not None:
         c[ok] = cost(ws)
-    return c
+    return c.tolist()
 
 
 def _gather(refs) -> WhitenedWorkspace:
@@ -489,12 +487,19 @@ def _gather(refs) -> WhitenedWorkspace:
     return joined if order == sorted(order) else joined.take(np.argsort(order))
 
 
-def _derivatives(ws, ok, evaluate, stochastic: bool = False):
-    """``evaluate(ws)`` as :func:`newton_lanes` asks for derivatives:
-    ``(g, h, failed)`` by row, where a row whose point is not feasible
-    fails alone, with the error its single-lane call would raise."""
+def _derivatives(ws, ok, evaluate, block, stochastic: bool):
+    """``evaluate(ws, block)`` as :func:`newton_lanes` asks for
+    derivatives: ``(g, h, failed)`` by row, where a row whose point is not feasible
+    fails alone, with the error its single-lane call would raise.  An
+    unstacked workspace is a stack of one."""
+    if ok is None and not ws.stacked:
+        try:
+            g, h = evaluate(ws, block)
+        except IndefiniteCovarianceError as exc:
+            return None, None, {0: exc}
+        return (g,), (h,), {}
     if ok is None and ws.all_full_rank and not (stochastic and None in ws.b_factors()):
-        g, h = evaluate(ws)
+        g, h = evaluate(ws, block)
         return g, h, {}
     ok = np.ones(len(ws.b), dtype=bool) if ok is None else ok
     bad = ~ok
@@ -510,40 +515,14 @@ def _derivatives(ws, ok, evaluate, stochastic: bool = False):
     }
     if bad.all():
         return None, None, failed
-    g, h = evaluate(ws.take(feasible))
+    g, h = evaluate(ws.take(feasible), block)
     g_all = np.zeros((len(ok),) + g.shape[1:])
     h_all = np.zeros((len(ok),) + h.shape[1:])
     g_all[~bad], h_all[~bad] = g, h
     return g_all, h_all, failed
 
 
-def _maximize(
-    problem: _Problem, x0: np.ndarray, lanes: np.ndarray, opts: NewtonOptions, positive=None, blocks=None
-):
-    """Newton over the rows of ``x0``, which belong to ``lanes``, with the
-    block schedule ``blocks`` (``None``: joint steps).  A store of a
-    single lane runs through :func:`newton_maximize`, which drives the
-    same ascent as :func:`newton_lanes` with direct calls; its error is
-    kept in the outcome, as a lane of the other would keep it."""
-    if not problem.points.single:
-        return newton_lanes(
-            lambda x, rows: problem.costs(x, lanes[rows]),
-            lambda x, rows, block=None: problem.grad_hess(x, lanes[rows], block),
-            x0,
-            opts,
-            positive=positive,
-            blocks=blocks,
-        )
-    try:
-        out = newton_maximize(
-            problem.cost, problem.grad_hess_one, x0[0], opts, positive=positive, blocks=blocks
-        )
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        out = NewtonOutcome(x=x0[0], cost=np.nan, error=exc)
-    return [out]
-
-
-def _stage1(points: _Workspaces, lanes: np.ndarray, k: int, opts: NewtonOptions, grid: int, r_excl: float):
+def _stage1(points: _Workspaces, lanes: list, k: int, opts: NewtonOptions, grid: int, r_excl: float):
     """Stage 1 on ``lanes``: k insertion line searches, each followed by
     uniform-noise Newton refinement of all angles so far, one Newton run
     over every lane per insertion.  Returns per lane a
@@ -552,7 +531,10 @@ def _stage1(points: _Workspaces, lanes: np.ndarray, k: int, opts: NewtonOptions,
     counts = {i: [] for i in lanes}
     converged = dict.fromkeys(lanes, True)
     failed = {}
-    uniform = _Problem(points, cost_dml_uniform, lambda ws, block=None: (grad_dml_uniform(ws), hess_dml_uniform(ws)))
+
+    def uniform(ws, block=None):
+        return grad_dml_uniform(ws), hess_dml_uniform(ws)
+
     for _ in range(k):
         n_cand = {}
         for i in theta:
@@ -562,13 +544,14 @@ def _stage1(points: _Workspaces, lanes: np.ndarray, k: int, opts: NewtonOptions,
                 )
             except (np.linalg.LinAlgError, ValueError) as exc:
                 failed[i] = exc
-        live = np.array([i for i in theta if i not in failed], dtype=int)
+        live = [i for i in theta if i not in failed]
         for i in failed:
             theta.pop(i, None)
-        if not live.size:
+        if not live:
             break
-        x0 = np.array([theta[i] for i in live])
-        for i, out in zip(live, _maximize(uniform, x0, live, opts)):
+        problem = _Problem(points, live, cost_dml_uniform, uniform)
+        outs = newton_lanes(problem.costs, problem.grad_hess, [theta[i] for i in live], opts)
+        for i, out in zip(live, outs):
             if out.error is not None:
                 failed[i] = out.error
                 del theta[i]
@@ -612,12 +595,13 @@ def apn_estimate(
     -----
     This is the one-lane call of :func:`estimate_lanes`, which runs T
     batches at once on (T, M, K) steering and (T, M, M) covariance
-    stacks; it raises the error that its lane's result holds.  A single
-    lane's workspaces are unstacked (M x K and M x M).  Cost and
-    derivative calls at one (theta, lambda) point share one workspace:
-    see :class:`_Workspaces`.  A :class:`SampleCovariance` given here
-    keeps its stage 1 for later targets, as :func:`estimate_lanes`
-    describes; a snapshot matrix makes a new covariance on every call.
+    stacks; it raises the error that its lane's result holds.  Its one
+    lane runs through the same Newton driver as T lanes do, on unstacked
+    workspaces (M x K and M x M).  Cost and derivative calls at one
+    (theta, lambda) point share one workspace: see :class:`_Workspaces`.
+    A :class:`SampleCovariance` given here keeps its stage 1 for later
+    targets, as :func:`estimate_lanes` describes; a snapshot matrix makes
+    a new covariance on every call.
     """
     if not isinstance(z, SampleCovariance):
         z = np.asarray(z, dtype=complex)
@@ -645,8 +629,8 @@ def estimate_lanes(
     on its covariance alone.  Stage 1's uniform Newton and the stage-3
     Newton of every target, joint or alternating, run every lane in one
     :func:`newton_lanes` call, on (T, M, K) steering and (T, M, M)
-    covariance stacks; the insertion line searches and the stage-2 fits
-    run lane by lane.
+    covariance stacks (on unstacked workspaces if T is 1); the insertion
+    line searches and the stage-2 fits run lane by lane.
 
     Stage 1 depends only on the covariance, the geometry, k, the
     resolved grid size and exclusion radius, and the Newton options
@@ -694,8 +678,8 @@ def estimate_lanes(
     uniform_opts = dataclasses.replace(opts, hessian_mode="full")
     key = ("stage1", geometry.positions.tobytes(), k, grid, r_excl, uniform_opts)
     starts = [rz._memo.get(key) for rz in covariances]
-    need = np.array([i for i, st in enumerate(starts) if st is None], dtype=int)
-    if need.size:
+    need = [i for i, st in enumerate(starts) if st is None]
+    if need:
         for i, st in _stage1(points, need, k, opts, grid, r_excl).items():
             if isinstance(st, Exception):
                 results[i] = st
@@ -712,13 +696,13 @@ def estimate_lanes(
         )
 
     if target == "dmlo":
-        costs = _lane_costs(*points.at(lanes, theta, points.ones(len(lanes))), cost_dml_uniform)
+        costs = _lane_costs(*points.at(lanes.tolist(), theta), cost_dml_uniform)
         for j, i in enumerate(lanes):
             results[i] = EstimationResult(
                 target=target,
                 theta=theta[j].copy(),
                 lam=None,
-                cost=float(costs[j]),
+                cost=costs[j],
                 converged=starts[i].converged,
                 diverged_lambda=False,
                 theta_initial=theta[j].copy(),
@@ -730,7 +714,7 @@ def estimate_lanes(
         return results
 
     # -- stage 2: noise initialization ------------------------------------
-    ws, ok = points.at(lanes, theta, points.ones(len(lanes)))
+    ws, ok = points.at(lanes.tolist(), theta)
     proj = None if ws is None else ws.projector() if ws.stacked else ws.projector()[None]
     ok = np.ones(len(lanes), dtype=bool) if ok is None else ok
     rows = np.cumsum(ok) - 1
@@ -761,8 +745,8 @@ def estimate_lanes(
     # the alternating targets step theta, then lambda, in each sweep
     blocks = {"theta": ~positive, "lam": positive} if target.endswith("-alt") else None
     x0 = np.concatenate([theta, np.array([lam0[i] for i in lanes])], axis=1)
-    problem = _Problem(points, cost_of, derivatives, k=k, stochastic=which == "S")
-    for i, out in zip(lanes, _maximize(problem, x0, lanes, opts, positive, blocks)):
+    problem = _Problem(points, lanes.tolist(), cost_of, derivatives, k=k, stochastic=which == "S")
+    for i, out in zip(lanes, newton_lanes(problem.costs, problem.grad_hess, x0, opts, positive, blocks)):
         if out.error is not None:
             results[i] = out.error
             continue

@@ -15,12 +15,12 @@ over a block schedule: a joint ascent steps all coordinates at once, a
 blocked one takes one step per block in turn (theta, then lambda, for
 the alternating targets), and the one loop owns the steps, the stall
 and derivative-failure notes, the divergence limit and the termination
-tests of both.  :func:`newton_maximize` answers one run's requests with
-direct calls; :func:`newton_lanes` runs T independent problems at once
-as lanes and answers, at each step, every lane's derivative requests
-with one call per block and its cost requests with another, while each
-lane keeps its own step, backtracking, termination and failure, and the
-outcome of its own run.
+tests of both.  One driver answers the requests: :func:`newton_lanes`
+runs T independent problems at once as lanes and answers, at each step,
+every lane's derivative requests with one call per block and its cost
+requests with another, while each lane keeps its own step,
+backtracking, termination and failure, and the outcome of its own run.
+:func:`newton_maximize` is its one-lane call.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class NewtonOutcome:
     note: str = ""
     cost_trace: list = field(default_factory=list)
     pos_max_trace: list = field(default_factory=list)
-    # a lane of newton_lanes that failed: the error its newton_maximize
-    # run would raise
+    # a lane of newton_lanes that failed: the error that newton_maximize
+    # raises on that lane alone
     error: Exception | None = field(default=None, repr=False)
 
 
@@ -222,26 +222,24 @@ def newton_maximize(
     floating-point resolution and further "strict increases" are
     rounding noise, not ascent.
 
-    This is one lane of :func:`newton_lanes`: both drive the same
-    iteration, :func:`_ascent`, here with direct calls to the callbacks.
+    This is the one-lane call of :func:`newton_lanes`, which drives the
+    iteration; it raises the error that its lane's outcome holds.
     """
-    opts = options or NewtonOptions()
-    x = np.array(x0, dtype=float, copy=True)
-    run = _ascent(x, opts, positive, blocks)
-    kind, x, block = next(run)
-    while True:
+
+    def costs(x, lanes):
+        return [cost_fn(x[0])]
+
+    def derivatives(x, lanes, *block):
         try:
-            if kind is _COST:
-                kind, x, block = run.send(cost_fn(x))
-                continue
-            try:
-                value = grad_hess_fn(x) if block is None else grad_hess_fn(x, block)
-            except (RankDeficiencyError, IndefiniteCovarianceError) as exc:
-                kind, x, block = run.throw(exc)
-            else:
-                kind, x, block = run.send(value)
-        except StopIteration as stop:
-            return stop.value
+            g, h = grad_hess_fn(x[0], *block)
+        except (RankDeficiencyError, IndefiniteCovarianceError) as exc:
+            return None, None, {0: exc}
+        return (g,), (h,), {}
+
+    (out,) = newton_lanes(costs, derivatives, np.array(x0, dtype=float)[None], options, positive, blocks)
+    if out.error is not None:
+        raise out.error
+    return out
 
 
 def newton_lanes(
@@ -254,27 +252,28 @@ def newton_lanes(
 ) -> list:
     """Damped Newton ascent of T costs at once, one per lane.
 
-    Each lane runs the iteration of :func:`newton_maximize` (the same
-    :func:`_ascent`), so its outcome is that of its own run, bit for bit.
-    What the lanes share is the calls: at each step, one ``grad_hess_fn``
-    call per block serves every lane that asks for that block's
-    derivatives and one ``cost_fn`` call every lane that asks for a cost,
-    whether for a first trial point or a shorter one.  Lanes that have
-    stopped are not evaluated.
+    Each lane runs its own :func:`_ascent`, so its outcome is, bit for
+    bit, that of :func:`newton_maximize`, the one-lane call of this
+    driver, on its problem alone.  What the lanes share is the calls: at
+    each step, one ``grad_hess_fn`` call per block serves every lane that
+    asks for that block's derivatives and one ``cost_fn`` call every lane
+    that asks for a cost, whether for a first trial point or a shorter
+    one.  Lanes that have stopped are not evaluated.
 
     Parameters
     ----------
     cost_fn : callable
         ``cost_fn(x, lanes)`` maps the (L, n) rows ``x`` of the lanes
-        ``lanes`` (an index array into the T lanes) to L costs; ``-inf``
-        marks an infeasible point.
+        ``lanes`` (an ascending list of indices into the T lanes) to L
+        costs; ``-inf`` marks an infeasible point.
     grad_hess_fn : callable
         ``grad_hess_fn(x, lanes)``, or ``grad_hess_fn(x, lanes, name)``
         for a block of ``blocks``, returns ``(g, h, failed)``: per row a
         gradient and Hessian, indexable by row, and ``failed``, a dict
         from row to the rank-deficiency or indefiniteness error of the
         rows whose derivatives could not be formed (their lanes stop
-        with a note; ``g`` and ``h`` may hold anything there).
+        with a note; ``g`` and ``h`` may hold anything there, or be
+        ``None`` if every row failed).
     x0 : array_like
         (T, n) start points.
     positive : ndarray of bool, optional
@@ -294,52 +293,68 @@ def newton_lanes(
     opts = options or NewtonOptions()
     x0 = np.array(x0, dtype=float, copy=True)
     runs = [_ascent(x, opts, positive, blocks) for x in x0]
-    asks = {i: next(run) for i, run in enumerate(runs)}     # lane -> (kind, x, block)
     outs = [None] * len(runs)
-    requests = [(_DERIVATIVES, name) for name in blocks or (None,)] + [(_COST, None)]
-    while asks:
-        for kind, block in requests:
-            lanes = [i for i, ask in asks.items() if ask[0] is kind and ask[2] == block]
+    # grad_hess_fn's block argument per block of the schedule
+    block_args = [()] if blocks is None else [(name,) for name in blocks]
+    # per request, the lanes asking for it: each block's derivatives in
+    # schedule order, then (at _COST) a cost; served in this order, so
+    # that a lane whose derivatives were served has its cost served next
+    asking = [[] for _ in range(len(block_args) + 1)]
+    at = [None] * len(runs)                     # lane -> the point it asks about
+    for i, run in enumerate(runs):
+        request, at[i] = next(run)
+        asking[request].append(i)
+    running = len(runs)
+    while running:
+        for request, lanes in enumerate(asking):
             if not lanes:
                 continue
-            x = _rows([asks[i][1] for i in lanes])
-            if kind is _COST:
-                replies = [(c, None) for c in cost_fn(x, np.array(lanes))]
+            asking[request] = []
+            lanes.sort()
+            x = at[lanes[0]][None] if len(lanes) == 1 else np.array([at[i] for i in lanes])
+            is_cost = request == len(block_args)
+            if is_cost:
+                values, failed = cost_fn(x, lanes), ()
             else:
-                args = (x, np.array(lanes)) if block is None else (x, np.array(lanes), block)
-                g, h, failed = grad_hess_fn(*args)
-                replies = [((g[j], h[j]), failed.get(j)) for j in range(len(lanes))]
-            for i, (value, exc) in zip(lanes, replies):
+                g, h, failed = grad_hess_fn(x, lanes, *block_args[request])
+            for j, i in enumerate(lanes):
                 try:
-                    asks[i] = runs[i].send(value) if exc is None else runs[i].throw(exc)
+                    if j in failed:
+                        request_i, at[i] = runs[i].throw(failed[j])
+                    else:
+                        request_i, at[i] = runs[i].send(values[j] if is_cost else (g[j], h[j]))
                 except StopIteration as stop:
                     outs[i] = stop.value
-                    del asks[i]
+                    running -= 1
                 except (np.linalg.LinAlgError, ValueError) as exc:
                     outs[i] = NewtonOutcome(x=x0[i], cost=math.nan, error=exc)
-                    del asks[i]
+                    running -= 1
+                else:
+                    asking[request_i].append(i)
     return outs
 
 
-# what a run of _ascent asks for
-_COST, _DERIVATIVES = "cost", "derivatives"
+# what a run of _ascent asks for: a cost, or (any other value) the
+# derivatives of the block at that position in its schedule
+_COST = -1
 
 DERIVATIVE_NOTE = "derivative evaluation failed"
 
 
 def _ascent(x: np.ndarray, opts: NewtonOptions, positive, blocks):
     """One damped Newton ascent from ``x``, as a generator: it yields
-    ``(_COST, x, None)`` and ``(_DERIVATIVES, x, block)`` requests, takes
-    each cost, or the block's ``(gradient, hessian)`` pair, as the value
-    sent back, takes a rank-deficiency or indefiniteness error of the
-    derivatives as thrown into it, and returns its :class:`NewtonOutcome`.
-    Its errors propagate.  It never writes to an array it has yielded.
+    ``(_COST, x)`` requests and ``(b, x)`` requests for the derivatives
+    of the block at position ``b`` of the schedule, takes each cost, or
+    the block's ``(gradient, hessian)`` pair, as the value sent back,
+    takes a rank-deficiency or indefiniteness error of the derivatives
+    as thrown into it, and returns its :class:`NewtonOutcome`.  Its
+    errors propagate.  It never writes to an array it has yielded.
 
     ``positive`` and ``blocks`` are those of :func:`newton_maximize`.  A
     run is a sequence of sweeps, each one :func:`_step` per block.  A
-    joint run is one block, named ``None``, of every coordinate, whose
-    sweeps, capped by ``max_iters``, are its iterations; a blocked run's
-    are capped by ``max_outer``.
+    joint run is one block of every coordinate, whose sweeps, capped by
+    ``max_iters``, are its iterations; a blocked run's are capped by
+    ``max_outer``.
     After a sweep, the run stops
 
     - if a block's derivatives failed, with the sweep's first note;
@@ -357,8 +372,8 @@ def _ascent(x: np.ndarray, opts: NewtonOptions, positive, blocks):
     """
     pos = _index(positive, x.shape)
     joint = blocks is None
-    blocks = [(None, slice(None))] if joint else [(name, _index(m, x.shape)) for name, m in blocks.items()]
-    c = yield _COST, x, None
+    blocks = [slice(None)] if joint else [_index(m, x.shape) for m in blocks.values()]
+    c = yield _COST, x
     if not math.isfinite(c):
         raise ValueError("cost is not finite at the starting point")
 
@@ -376,13 +391,13 @@ def _ascent(x: np.ndarray, opts: NewtonOptions, positive, blocks):
         note = ""
         failed = False
         moved = 0.0         # each block step moves its own coordinates alone
-        for name, idx in blocks:
+        for b, idx in enumerate(blocks):
             start = x.tobytes()
-            if name in last and last[name][0] == start:
-                note = note or last[name][1]
+            if b in last and last[b][0] == start:
+                note = note or last[b][1]
                 continue
-            x_new, c, step_note, step_moved = yield from _step(x, c, name, idx, pos, opts, out)
-            last[name] = (start, step_note)
+            x_new, c, step_note, step_moved = yield from _step(x, c, b, idx, pos, opts, out)
+            last[b] = (start, step_note)
             note = note or step_note
             failed = failed or step_note.startswith(DERIVATIVE_NOTE)
             if x_new is not x:
@@ -410,17 +425,17 @@ def _ascent(x: np.ndarray, opts: NewtonOptions, positive, blocks):
     return out
 
 
-def _step(x, c, name, idx, pos, opts: NewtonOptions, out: NewtonOutcome):
-    """One damped Newton step of the block ``name``, the coordinates
-    ``idx`` of ``x``, for :func:`_ascent`.  Returns ``(x, c, note,
-    moved)``: the point and cost it accepts and its scaled movement
+def _step(x, c, b, idx, pos, opts: NewtonOptions, out: NewtonOutcome):
+    """One damped Newton step of the block at position ``b``, the
+    coordinates ``idx`` of ``x``, for :func:`_ascent`.  Returns ``(x, c,
+    note, moved)``: the point and cost it accepts and its scaled movement
     ``max_i |dx_i| / max(1, |x_i|)``, or the given point and cost, 0 and
     a note if the derivatives failed or the line search stalled (no note
     if the step is below ``step_tol``).  Trial points are clamped on the
     positive coordinates ``pos``, which a step of another block leaves
     as they are."""
     try:
-        g, h = yield _DERIVATIVES, x, name
+        g, h = yield b, x
     except (RankDeficiencyError, IndefiniteCovarianceError) as exc:
         return x, c, f"{DERIVATIVE_NOTE}: {exc}", 0.0
     out.n_grad_evals += 1
@@ -445,14 +460,9 @@ def _step(x, c, name, idx, pos, opts: NewtonOptions, out: NewtonOutcome):
             # bound each step to a fixed factor per iteration, clamping
             # only offenders
             x_try[pos] = np.minimum(np.maximum(x_try[pos], floor), ceil)
-        c_try = yield _COST, x_try, None
+        c_try = yield _COST, x_try
         out.n_cost_evals += 1
         if c < c_try < math.inf:            # a strict, finite increase
             return x_try, c_try, "", (np.abs(x_try[idx] - x[idx]) / scale).max()
         mu *= opts.backtrack
     return x, c, STALLED_NOTE, 0.0
-
-
-def _rows(rows: list) -> np.ndarray:
-    """The lanes' vectors as the (L, n) rows of one array."""
-    return rows[0][None] if len(rows) == 1 else np.array(rows)

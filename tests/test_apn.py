@@ -434,14 +434,13 @@ TRACED = (
     ("apn", "grad_hess"),
     ("apn", "grad_dml_uniform"),
     ("apn", "hess_dml_uniform"),
-    ("apn", "newton_maximize"),
     ("newton", "modified_cholesky"),
     ("apn", "ap_add_angle"),
     ("apn", "init_noise"),
 )
 STAGE1_NAMES = {
     "steering_set", "build_workspace", "cost_dml_uniform", "grad_dml_uniform",
-    "hess_dml_uniform", "newton_maximize", "modified_cholesky", "ap_add_angle",
+    "hess_dml_uniform", "modified_cholesky", "ap_add_angle",
 }
 
 
