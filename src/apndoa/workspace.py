@@ -96,8 +96,9 @@ class SampleCovariance:
             raise ValueError("snapshot count must be positive")
         if not np.isfinite(r).all():
             raise ValueError("covariance has non-finite (NaN or Inf) entries")
-        scale = max(np.abs(r).max(), 1.0)
-        if np.abs(r - r.conj().mT).max() > 1e-12 * scale:
+        # relative to each matrix's largest entry, so that any scale is held
+        # to the same rule
+        if (np.abs(r - r.conj().mT).max(axis=(-2, -1)) > 1e-12 * np.abs(r).max(axis=(-2, -1))).any():
             raise ValueError("covariance must be Hermitian")
         r.flags.writeable = False
         object.__setattr__(self, "matrix", r)

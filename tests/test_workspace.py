@@ -15,6 +15,7 @@ from apndoa import (
     RankDeficiencyError,
     SampleCovariance,
     StochasticModel,
+    benchmark_scenario,
     build_workspace,
     concentrated_rs,
     cost_dml,
@@ -22,6 +23,7 @@ from apndoa import (
     cost_lc,
     cost_sml,
     sample_covariance,
+    scale_for_snr,
     steering_set,
     stream_rng,
     synthesize,
@@ -200,6 +202,18 @@ def test_sample_covariance_validation():
         SampleCovariance(np.ones((2, 3)), 5)
     with pytest.raises(ValueError):
         SampleCovariance(np.array([[1.0, 1.0], [0.0, 1.0]]), 5)
+    # the Hermitian check is relative: a 10% asymmetry fails at any scale
+    skewed = np.array([[2.0, 0.5], [0.55, 1.0]])
+    for scale in (1.0, 1e-20):
+        with pytest.raises(ValueError, match="Hermitian"):
+            SampleCovariance(scale * skewed, 5)
+    # and a benchmark covariance, Hermitian to rounding, passes at any scale
+    config = benchmark_scenario()
+    lam = scale_for_snr(config.geometry, config.theta_true, config.source_model, config.noise_trend, 40.0)
+    z = synthesize(config.geometry, config.theta_true, config.source_model, lam, config.n_snapshots, stream_rng(0))
+    rz = sample_covariance(z)
+    for scale in (1e-150, 1e150):
+        assert SampleCovariance(scale * rz.matrix, rz.n_snapshots).m == config.geometry.m
 
 
 def test_sample_covariance_rejects_non_finite_entries():
