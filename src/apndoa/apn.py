@@ -356,8 +356,10 @@ class _Workspaces:
         ok = None
         if missing:
             theta, lam = (x, self.ones[:len(x)]) if k is None else (x[:, :k], x[:, k:])
-            build = self._build_single if self.single else self._build_stack
-            ok = build(lanes, theta, lam, missing, refs)
+            if self.single:
+                ok = self._build_single(theta[0], lam[0], refs)
+            else:
+                ok = self._build_stack(lanes, theta, lam, missing, refs)
         found = refs if ok is None else [ref for ref, o in zip(refs, ok) if o]
         if hold:
             for lane, ref in zip(lanes if ok is None else [lane for lane, o in zip(lanes, ok) if o], found):
@@ -366,11 +368,11 @@ class _Workspaces:
             return None, ok
         return (found[0][1] if self.single else _gather(found)), ok
 
-    def _build_single(self, lanes, theta, lam, missing, refs):
-        """Build the one lane's workspace into ``refs``; ``None``, or a
-        mask of False if its point is infeasible."""
+    def _build_single(self, theta, lam, refs):
+        """Build the one lane's workspace at (theta, lam) into ``refs``;
+        ``None``, or a mask of False if its point is infeasible."""
         key = refs[0]
-        angles = theta[0].tobytes()
+        angles = theta.tobytes()
         # a lambda step keeps theta, and with it the steering set
         steering = None
         for entry in (self._last[0], self._held[0]):
@@ -380,8 +382,8 @@ class _Workspaces:
         self._last[0] = None
         try:
             if steering is None:
-                steering = steering_set(self.geometry, theta[0])
-            ws = build_workspace(self.covariances[0], steering, lam[0])
+                steering = steering_set(self.geometry, theta)
+            ws = build_workspace(self.covariances[0], steering, lam)
         except (RankDeficiencyError, ValueError):     # the point is infeasible
             return np.zeros(1, dtype=bool)
         refs[0] = self._last[0] = (key, ws, None)
