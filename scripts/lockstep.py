@@ -3,8 +3,9 @@
     python3 scripts/lockstep.py --base HEAD~1 --seed 11 --rounds 0-29 --reps 6
 
 Loads the ``src/apndoa`` package of the ``--base`` tree (a directory, or
-a git revision exported with ``git archive`` into ``.bench_build/base``)
-and of the working tree into one process, under two module names, and
+a git revision exported with ``git archive`` into ``.bench_build/base``,
+the directory ``scripts/bench_pairs.py`` exports to, so the two do not
+run at once with a revision) and of the working tree into one process, under two module names, and
 runs the benchmark's own batches (``apnbench/workloads.py``'s
 ``Scenario.batch``, every SNR of each round) through both in lock step:
 batch by batch, alternating which tree goes first, so that both trees
