@@ -104,7 +104,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--rounds", default="0-29", help="first-last round, inclusive")
     ap.add_argument("--reps", type=int, default=6)
-    ap.add_argument("--groups", default=",".join(GROUPS), help="comma-separated, from " + ", ".join(GROUPS))
     args = ap.parse_args(argv)
 
     trees = {"base": load_tree(base_tree(args.base), "_lockstep_base"),
@@ -115,25 +114,24 @@ def main(argv=None) -> int:
     scen = Scenario(trees["change"])
     lo, hi = (int(x) for x in args.rounds.split("-"))
     batches = [scen.batch(args.seed, rnd, si) for rnd in range(lo, hi + 1) for si in range(len(scen.snr_db))]
-    groups = {g: GROUPS[g] for g in args.groups.split(",")}
     for pkg in trees.values():
-        for targets in groups.values():
+        for targets in GROUPS.values():
             time_group(pkg, scen, *batches[0], targets)
 
-    cpu = {g: {"base": [], "change": []} for g in groups}
+    cpu = {g: {"base": [], "change": []} for g in GROUPS}
     for rep in range(args.reps):
-        totals = {(g, side): 0.0 for g in groups for side in trees}
+        totals = {(g, side): 0.0 for g in GROUPS for side in trees}
         for i, (z, rz) in enumerate(batches):
             order = ("base", "change") if (i + rep) % 2 == 0 else ("change", "base")
-            for g, targets in groups.items():
+            for g, targets in GROUPS.items():
                 for side in order:
                     totals[g, side] += time_group(trees[side], scen, z, rz, targets)
         for (g, side), seconds in totals.items():
             cpu[g][side].append(seconds)
         print(f"rep {rep}: " + ", ".join(
-            f"{g} {cpu[g]['change'][-1] / cpu[g]['base'][-1]:.3f}" for g in groups), file=sys.stderr, flush=True)
+            f"{g} {cpu[g]['change'][-1] / cpu[g]['base'][-1]:.3f}" for g in GROUPS), file=sys.stderr, flush=True)
 
-    estimates = {g: len(batches) * len(targets) for g, targets in groups.items()}
+    estimates = {g: len(batches) * len(targets) for g, targets in GROUPS.items()}
     for g, s in summarize(cpu, estimates).items():
         r = s["rep_ratio"]
         print(f"{g}: base {s['base_ms']:.3f} ms, change {s['change_ms']:.3f} ms per estimate, "

@@ -10,6 +10,7 @@ import pytest
 from scipy.linalg import cho_solve
 
 from apndoa import (
+    IndefiniteCovarianceError,
     NewtonOptions,
     NewtonOutcome,
     RankDeficiencyError,
@@ -17,6 +18,7 @@ from apndoa import (
     newton_lanes,
     newton_maximize,
 )
+from apndoa.newton import _COST, _ascent
 
 
 def quadratic(a_mat, x_star):
@@ -299,6 +301,29 @@ def lane_problems(blocked=False):
     return problems
 
 
+def direct_run(cost, gh, x0, positive=None, blocks=None):
+    """The reference the drivers are checked against: one ``_ascent`` run
+    answered by direct calls to ``cost(x)`` and ``gh(x)``, or
+    ``gh(x, name)`` for a block, with a rank-deficiency or indefiniteness
+    error thrown into the run; its other errors propagate."""
+    run = _ascent(np.array(x0, dtype=float, copy=True), NewtonOptions(), positive, blocks)
+    block_args = [()] if blocks is None else [(name,) for name in blocks]
+    request, x = next(run)
+    while True:
+        try:
+            if request == _COST:
+                request, x = run.send(cost(x))
+                continue
+            try:
+                value = gh(x, *block_args[request])
+            except (RankDeficiencyError, IndefiniteCovarianceError) as exc:
+                request, x = run.throw(exc)
+            else:
+                request, x = run.send(value)
+        except StopIteration as stop:
+            return stop.value
+
+
 def outcome_fields(out):
     return (
         out.x.tobytes(), out.cost, out.iterations, out.n_grad_evals, out.n_cost_evals,
@@ -313,14 +338,19 @@ def outcome_fields(out):
 )
 def test_each_lane_is_its_own_run(positive, blocks):
     """One newton_lanes call over five lanes gives each lane the outcome of
-    its own newton_maximize run, bit for bit, although the lanes stop at
-    different iterations (or sweeps) and one of them never finds an ascent
-    step (in one block); under the block schedule one lane diverges."""
+    its own run, bit for bit, as newton_maximize does for each problem
+    alone: both equal the direct run of the reference driver, although
+    the lanes stop at different iterations (or sweeps) and one of them
+    never finds an ascent step (in one block); under the block schedule
+    one lane diverges."""
     blocked = blocks is not None
     alone_problems = lane_problems(blocked)
     alone = []
     for cost, gh, start, calls in alone_problems:
-        alone.append(newton_maximize(cost, gh, start, positive=positive, blocks=blocks))
+        alone.append(direct_run(cost, gh, start, positive=positive, blocks=blocks))
+    one_lane = [newton_maximize(cost, gh, start, positive=positive, blocks=blocks)
+                for cost, gh, start, _ in lane_problems(blocked)]
+    assert [outcome_fields(out) for out in one_lane] == [outcome_fields(out) for out in alone]
     problems = lane_problems(blocked)
     asked = []
 
@@ -356,7 +386,9 @@ def test_each_lane_is_its_own_run(positive, blocks):
 def test_a_failing_lane_stops_alone():
     """Errors stay in their lane: a start with an infeasible cost and a
     gradient that turns non-finite give the lane the error its own run
-    raises, and a derivative failure its note; the other lanes run on."""
+    raises, and a derivative failure its note; the other lanes run on.
+    Each lane, and newton_maximize on its problem alone, match the
+    direct run of the reference driver."""
 
     def cost(x):
         return -float(x @ x)
@@ -390,10 +422,16 @@ def test_a_failing_lane_stops_alone():
 
     outs = newton_lanes(costs, grad_hess, starts)
     assert outs[0].error is None and outs[0].converged
-    assert outcome_fields(outs[0]) == outcome_fields(newton_maximize(cost, gh, starts[0]))
+    for i in (0, 3):
+        assert outs[i].error is None
+        direct = outcome_fields(direct_run(*per_lane[i], starts[i]))
+        assert outcome_fields(outs[i]) == direct
+        assert outcome_fields(newton_maximize(*per_lane[i], starts[i])) == direct
+    assert outs[3].note.startswith("derivative evaluation failed") and not outs[3].converged
     for i in (1, 2):
+        with pytest.raises(ValueError) as direct:
+            direct_run(*per_lane[i], starts[i])
         with pytest.raises(ValueError) as alone:
-            newton_maximize(per_lane[i][0], per_lane[i][1], starts[i])
-        assert isinstance(outs[i].error, ValueError) and str(outs[i].error) == str(alone.value)
-    assert outs[3].error is None
-    assert outcome_fields(outs[3]) == outcome_fields(newton_maximize(cost, rank_gh, starts[3]))
+            newton_maximize(*per_lane[i], starts[i])
+        assert type(alone.value) is type(direct.value) and str(alone.value) == str(direct.value)
+        assert type(outs[i].error) is type(direct.value) and str(outs[i].error) == str(direct.value)
