@@ -9,6 +9,11 @@ batch of seed 7, round 0 (the batch ``apnbench`` draws for its
 formed per workspace: ``steering_set``, ``build_workspace``, build plus
 each cost, build plus ``grad_hess`` for every (which, reduced, block),
 and build plus the uniform-noise gradient and Hessian at lambda = 1.
+Every row times the public calls, which check their inputs.  Inside an
+estimate, builds and uniform-noise calls run on cores that skip those
+checks (see ``apndoa.apn._Workspaces``), so the ``steering_set`` and
+``build_workspace`` rows include checking time that an estimate does
+not spend.
 A row reports the median and quartiles over ``--repeat`` groups of
 ``--number`` calls, in microseconds per call.  The JSON also records the
 core count and the Python, numpy, scipy and BLAS versions.

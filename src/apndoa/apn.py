@@ -43,17 +43,20 @@ import numpy as np
 from scipy.linalg import lstsq
 
 from ._lapack import complete_qr
-from .arrays import ArrayGeometry, angles_valid, steering_set
-from .derivatives import grad_dml_uniform, grad_hess, hess_dml_uniform
+# steering_set, build_workspace and the uniform cost and derivatives are
+# the cores that their public versions call after checking their inputs:
+# here _Workspaces decides each point's feasibility once.  They keep the
+# public names, through which the benchmark's per-layer trace
+# (apnbench/layertrace.py) times and counts the calls.
+from .arrays import ArrayGeometry, _check_angles, _steering_set as steering_set, angles_valid, noise_valid
+from .derivatives import _grad_dml_uniform as grad_dml_uniform, _hess_dml_uniform as hess_dml_uniform, grad_hess
 from .newton import NewtonOptions, NewtonOutcome, newton_lanes
 from .workspace import (
-    IndefiniteCovarianceError,
-    RankDeficiencyError,
     SampleCovariance,
     WhitenedWorkspace,
-    build_workspace,
+    _build_workspace as build_workspace,
+    _cost_dml_uniform as cost_dml_uniform,
     cost_dml,
-    cost_dml_uniform,
     cost_sml,
     rank_error,
     sample_covariance,
@@ -198,7 +201,7 @@ def ap_add_angle(
 
     q = None
     if theta.size:
-        q, _, _ = complete_qr(steering_set(geometry, theta).phi)
+        q, _, _ = complete_qr(steering_set(geometry, _check_angles(theta)).phi)
 
     scores = np.full(grid, -np.inf)
     n_evaluated = int(allowed.sum())
@@ -301,15 +304,23 @@ class _Workspaces:
     exact bytes of the point: [theta, lambda], or theta alone where
     lambda is one.
 
-    Per lane two entries are kept: the last workspace built, and the one
-    whose derivatives were taken last (``hold=True``).  Newton asks for
+    An entry keeps whether its point is feasible, decided once, when the
+    entry is made, by three tests: its angles and noise parameters are
+    valid (a point that fails is not built); its whitened steering is
+    full rank; and, for the stochastic cost (a ``stochastic`` store's
+    points with lambda), its compressed covariance ``b`` is positive
+    definite, read from the Cholesky factor that the cost and the
+    derivatives then take.  Costs, derivatives and stage 2 read that
+    result, and builds go through the cores that check nothing.
+
+    Per lane two entries are kept: the last one made, and the one whose
+    derivatives were taken last (``hold=True``).  Newton asks for
     derivatives at the point its last cost call accepted, and every
     stage or alternating block step starts where the previous one
     stopped: at that point or, after a line search found no ascent step,
     at the held one.  No block step is repeated from the same start
     (see :func:`~apndoa.newton._ascent`), so no point is built twice.
-    Keys are bytes, not array identities.  A failed build leaves the
-    last-built entry empty.
+    Keys are bytes, not array identities.
 
     The representation is chosen once, by the lane count.  Entries of a
     store of several lanes are lanes of stacks built for several lanes
@@ -320,27 +331,26 @@ class _Workspaces:
     lambda step's is, takes that entry's steering set.
     """
 
-    def __init__(self, covariances, geometry: ArrayGeometry):
+    def __init__(self, covariances, geometry: ArrayGeometry, stochastic: bool):
         self.covariances = covariances
         self.single = len(covariances) == 1
         self.r_z = None if self.single else SampleCovariance.stack(covariances)
         self.geometry = geometry
+        self.stochastic = stochastic
         # (T, M) noise parameters equal to one, for the uniform cost
         self.ones = np.ones((len(covariances), geometry.m))
         self.ones.flags.writeable = False
-        self._last = [None] * len(covariances)     # (key, workspace, row)
+        self._last = [None] * len(covariances)     # (key, workspace, row, fault)
         self._held = [None] * len(covariances)
 
     def at(self, lanes: list, x: np.ndarray, k: int | None = None, hold: bool = False):
-        """The workspace at the rows of ``x``, one row per lane of
-        ``lanes``: [theta, lambda] rows with k angles, or with ``k`` None
-        rows of angles and lambda one.  Returns it and ``None`` if every
-        row has one, or else a mask of the rows that have one: rows with
-        invalid angles or noise parameters have none (and the workspace
-        is None if no row has one).  For a store of several lanes the
-        workspace is a stack, in which rank-deficient rows are marked in
-        ``full_rank``; for a store of one it is unstacked, and a
-        rank-deficient row has none."""
+        """The workspace at the feasible rows of ``x``, one row per lane
+        of ``lanes``: [theta, lambda] rows with k angles, or with ``k``
+        None rows of angles and lambda one.  For a store of several lanes
+        it is a stack, for a store of one unstacked, and None if no row
+        is feasible.  Returned with the rows' faults: ``None`` if every
+        row is feasible, else per row ``None`` or, where its point is
+        not, the factory of the error its derivatives raise."""
         last, held = self._last, self._held
         refs = []
         missing = []
@@ -353,76 +363,69 @@ class _Workspaces:
                     missing.append(j)
                     entry = key
             refs.append(entry)
-        ok = None
         if missing:
             theta, lam = (x, self.ones[:len(x)]) if k is None else (x[:, :k], x[:, k:])
+            stochastic = self.stochastic and k is not None
             if self.single:
-                ok = self._build_single(theta[0], lam[0], refs)
+                self._build_single(theta[0], lam[0], refs, stochastic)
             else:
-                ok = self._build_stack(lanes, theta, lam, missing, refs)
-        found = refs if ok is None else [ref for ref, o in zip(refs, ok) if o]
+                self._build_stack(lanes, theta, lam, missing, refs, stochastic)
         if hold:
-            for lane, ref in zip(lanes if ok is None else [lane for lane, o in zip(lanes, ok) if o], found):
+            for lane, ref in zip(lanes, refs):
                 held[lane] = ref
-        if not found:
-            return None, ok
-        return (found[0][1] if self.single else _gather(found)), ok
+        faults = [ref[3] for ref in refs]
+        if any(faults):
+            refs = [ref for ref in refs if ref[3] is None]
+        else:
+            faults = None
+        if not refs:
+            return None, faults
+        return (refs[0][1] if self.single else _gather(refs)), faults
 
-    def _build_single(self, theta, lam, refs):
-        """Build the one lane's workspace at (theta, lam) into ``refs``;
-        ``None``, or a mask of False if its point is infeasible."""
-        key = refs[0]
+    def _build_single(self, theta, lam, refs, stochastic: bool):
+        """Make the one lane's entry at (theta, lam) into ``refs``."""
         angles = theta.tobytes()
-        # a lambda step keeps theta, and with it the steering set
+        # a lambda step keeps theta, and with it the steering set, whose
+        # angles a built entry has shown valid
         steering = None
         for entry in (self._last[0], self._held[0]):
-            if entry is not None and entry[0][:len(angles)] == angles:
+            if entry is not None and entry[1] is not None and entry[0][:len(angles)] == angles:
                 steering = entry[1].steering
                 break
-        self._last[0] = None
-        try:
-            if steering is None:
-                steering = steering_set(self.geometry, theta)
-            ws = build_workspace(self.covariances[0], steering, lam)
-        except (RankDeficiencyError, ValueError):     # the point is infeasible
-            return np.zeros(1, dtype=bool)
-        refs[0] = self._last[0] = (key, ws, None)
-        return None
+        ws, fault = None, rank_error
+        if (steering is not None or angles_valid(theta)) and noise_valid(lam):
+            ws = build_workspace(self.covariances[0], steering or steering_set(self.geometry, theta), lam)
+            fault = _fault(ws.full_rank, not stochastic or ws.b_definite())
+        refs[0] = self._last[0] = (refs[0], ws, None, fault)
 
-    def _build_stack(self, lanes, theta, lam, missing, refs):
-        """Build the ``missing`` rows' workspaces, as one stack, into
-        ``refs``; ``None``, or a mask of the rows that have one."""
-        last = self._last
-        for j in missing:
-            last[lanes[j]] = None
-        rows = np.array(missing)
-        ok = None
-        try:
-            if len(missing) == len(lanes):
-                ws = build_workspace(self.r_z.lanes(lanes), steering_set(self.geometry, theta), lam)
-            else:
-                ws = build_workspace(
-                    self.r_z.lanes([lanes[j] for j in missing]), steering_set(self.geometry, theta[rows]), lam[rows]
-                )
-        except ValueError:
-            # a row's angles or noise parameters are invalid: build the others
-            lm = lam[rows]
-            valid = angles_valid(theta[rows]) & (lm > 0.0).all(axis=-1) & (lm < np.inf).all(axis=-1)
-            ok = np.ones(len(lanes), dtype=bool)
-            ok[rows[~valid]] = False
-            rows = rows[valid]
-            ws = None
-            if rows.size:
-                ws = build_workspace(
-                    self.r_z.lanes([lanes[j] for j in rows.tolist()]),
-                    steering_set(self.geometry, theta[rows]),
-                    lam[rows],
-                )
-        for r, j in enumerate(rows.tolist()):
-            refs[j] = (refs[j], ws, r)
-            if ws.all_full_rank or ws.full_rank[r]:
-                last[lanes[j]] = refs[j]
-        return ok
+    def _build_stack(self, lanes, theta, lam, missing, refs, stochastic: bool):
+        """Make the ``missing`` rows' entries into ``refs``, building the
+        rows whose angles and noise parameters are valid as one stack."""
+        if len(missing) < len(lanes):
+            theta, lam = theta[missing], lam[missing]
+        valid = (angles_valid(theta) & noise_valid(lam)).tolist()
+        built = [j for j, v in zip(missing, valid) if v]
+        ws, faults = None, None
+        if built:
+            if len(built) < len(valid):
+                theta, lam = theta[valid], lam[valid]
+            ws = build_workspace(self.r_z.lanes([lanes[j] for j in built]), steering_set(self.geometry, theta), lam)
+            definite = ws.b_definite().tolist() if stochastic else [True] * len(built)
+            faults = enumerate(map(_fault, ws.full_rank.tolist(), definite))
+        for j, v in zip(missing, valid):
+            row, fault = next(faults) if v else (None, rank_error)
+            refs[j] = self._last[lanes[j]] = (refs[j], ws if v else None, row, fault)
+
+
+def _fault(full_rank: bool, definite: bool):
+    """``None`` if a built point is feasible, else the factory of the
+    error its derivatives raise: the rank error where its steering is
+    not ``full_rank``, else the indefiniteness error where its
+    compressed covariance is not ``definite``, as the stochastic cost
+    requires.  A point that is not built has the rank error."""
+    if not full_rank:
+        return rank_error
+    return None if definite else spd_error
 
 
 class _Problem:
@@ -435,15 +438,16 @@ class _Problem:
     whose lanes, its rows of ``x0``, index ``lanes``; the derivative
     callback takes the block a blocked run asks for.  A call for as many
     rows as there are lanes is for every lane, since the rows ascend.
+    Both read which rows are feasible from the store (see
+    :meth:`_Workspaces.at`).
     """
 
-    def __init__(self, points: _Workspaces, lanes: list, cost, derivatives, k=None, stochastic=False):
+    def __init__(self, points: _Workspaces, lanes: list, cost, derivatives, k=None):
         self.points = points
         self.lanes = lanes
         self.cost_of = cost
         self.derivatives = derivatives
         self.k = k
-        self.stochastic = stochastic
 
     def _lanes(self, rows):
         return self.lanes if len(rows) == len(self.lanes) else [self.lanes[r] for r in rows]
@@ -452,35 +456,30 @@ class _Problem:
         return _lane_costs(*self.points.at(self._lanes(rows), x, self.k), self.cost_of)
 
     def grad_hess(self, x, rows, block=None):
-        ws, ok = self.points.at(self._lanes(rows), x, self.k, hold=True)
-        return _derivatives(ws, ok, self.derivatives, block, self.stochastic)
+        return _derivatives(*self.points.at(self._lanes(rows), x, self.k, hold=True), self.derivatives, block)
 
 
-def _lane_costs(ws, ok, cost) -> list:
-    """``cost`` per row of :meth:`_Workspaces.at`'s result, as floats:
-    -inf for rows without a workspace, and for an unstacked workspace
-    whose cost raises."""
-    if ok is None:
-        if ws.stacked:
-            return cost(ws).tolist()
-        try:
-            return [cost(ws)]
-        except (np.linalg.LinAlgError, ValueError):      # the point is infeasible
-            return [-np.inf]
-    c = np.full(len(ok), -np.inf)
+def _lane_costs(ws, faults, cost) -> list:
+    """``cost`` per row of :meth:`_Workspaces.at`'s result ``(ws,
+    faults)``, as floats: ``cost(ws)`` at the feasible rows, -inf at the
+    others."""
+    if faults is None:
+        return cost(ws).tolist() if ws.stacked else [cost(ws)]
+    c = np.full(len(faults), -np.inf)
     if ws is not None:
-        c[ok] = cost(ws)
+        c[[f is None for f in faults]] = cost(ws)
     return c.tolist()
 
 
 def _gather(refs) -> WhitenedWorkspace:
-    """One stack of the lanes that the (key, stack, row) entries name."""
+    """One stack of the lanes that the (key, stack, row, fault) entries
+    name."""
     first = refs[0][1]
     if all(ref[1] is first for ref in refs):
         rows = [ref[2] for ref in refs]
         return first if rows == list(range(len(first.b))) else first.take(rows)
     groups: dict = {}
-    for j, (_, ws, row) in enumerate(refs):
+    for j, (_, ws, row, _) in enumerate(refs):
         ws_rows, js = groups.setdefault(id(ws), (ws, [], []))[1:]
         ws_rows.append(row)
         js.append(j)
@@ -489,38 +488,23 @@ def _gather(refs) -> WhitenedWorkspace:
     return joined if order == sorted(order) else joined.take(np.argsort(order))
 
 
-def _derivatives(ws, ok, evaluate, block, stochastic: bool):
-    """``evaluate(ws, block)`` as :func:`newton_lanes` asks for
-    derivatives: ``(g, h, failed)`` by row, where a row whose point is not feasible
-    fails alone, with the error its single-lane call would raise.  An
-    unstacked workspace is a stack of one."""
-    if ok is None and not ws.stacked:
-        try:
-            g, h = evaluate(ws, block)
-        except IndefiniteCovarianceError as exc:
-            return None, None, {0: exc}
-        return (g,), (h,), {}
-    if ok is None and ws.all_full_rank and not (stochastic and None in ws.b_factors()):
+def _derivatives(ws, faults, evaluate, block):
+    """``evaluate(ws, block)`` on :meth:`_Workspaces.at`'s result ``(ws,
+    faults)``, as :func:`newton_lanes` asks for derivatives: ``(g, h,
+    failed)`` by row, where a row whose point is not feasible fails
+    alone, with the error its fault names, the one its single-lane call
+    raises.  An unstacked workspace is a stack of one."""
+    if faults is None:
         g, h = evaluate(ws, block)
-        return g, h, {}
-    ok = np.ones(len(ws.b), dtype=bool) if ok is None else ok
-    bad = ~ok
-    rows = np.cumsum(ok) - 1
-    if ws is not None:
-        feasible = ws.full_rank
-        if stochastic:
-            feasible = feasible & np.array([f is not None for f in ws.b_factors()])
-        bad[ok] = ~feasible
-    failed = {
-        j: rank_error() if not ok[j] or not ws.full_rank[rows[j]] else spd_error()
-        for j in np.flatnonzero(bad)
-    }
-    if bad.all():
+        return (g, h, {}) if ws.stacked else ((g,), (h,), {})
+    failed = {j: fault() for j, fault in enumerate(faults) if fault is not None}
+    if ws is None:
         return None, None, failed
-    g, h = evaluate(ws.take(feasible), block)
-    g_all = np.zeros((len(ok),) + g.shape[1:])
-    h_all = np.zeros((len(ok),) + h.shape[1:])
-    g_all[~bad], h_all[~bad] = g, h
+    g, h = evaluate(ws, block)
+    ok = [f is None for f in faults]
+    g_all = np.zeros((len(faults),) + g.shape[1:])
+    h_all = np.zeros((len(faults),) + h.shape[1:])
+    g_all[ok], h_all[ok] = g, h
     return g_all, h_all, failed
 
 
@@ -672,7 +656,7 @@ def estimate_lanes(
         raise ValueError("need 1 <= k < M")
     grid, r_excl = _line_search(geometry, grid_size, exclusion_radius)
     m = geometry.m
-    points = _Workspaces(covariances, geometry)
+    points = _Workspaces(covariances, geometry, stochastic=not target.startswith("dml"))
     results: list = [None] * len(covariances)
 
     # -- stage 1: insertion line searches + uniform Newton refinement -----
@@ -716,17 +700,17 @@ def estimate_lanes(
         return results
 
     # -- stage 2: noise initialization ------------------------------------
-    ws, ok = points.at(lanes.tolist(), theta)
-    proj = None if ws is None else ws.projector() if ws.stacked else ws.projector()[None]
-    ok = np.ones(len(lanes), dtype=bool) if ok is None else ok
-    rows = np.cumsum(ok) - 1
+    ws, faults = points.at(lanes.tolist(), theta)
+    proj = iter(() if ws is None else ws.projector().reshape(-1, m, m))
     lam0 = {}
     for j, i in enumerate(lanes):
+        if faults is not None and faults[j] is not None:
+            # stage 1 ended at a finite cost, so its angles are valid and
+            # only the rank of the sorted set can fail
+            results[i] = faults[j]()
+            continue
         try:
-            if not ok[j] or not (ws.all_full_rank or ws.full_rank[rows[j]]):
-                # the lane's own build raises its error
-                build_workspace(covariances[i], steering_set(geometry, theta[j]), np.ones(m))
-            lam0[i] = init_noise(covariances[i], proj[rows[j]])
+            lam0[i] = init_noise(covariances[i], next(proj))
         except (np.linalg.LinAlgError, ValueError) as exc:
             results[i] = exc
     keep = np.array([i in lam0 for i in lanes], dtype=bool)
@@ -747,7 +731,7 @@ def estimate_lanes(
     # the alternating targets step theta, then lambda, in each sweep
     blocks = {"theta": ~positive, "lam": positive} if target.endswith("-alt") else None
     x0 = np.concatenate([theta, np.array([lam0[i] for i in lanes])], axis=1)
-    problem = _Problem(points, lanes.tolist(), cost_of, derivatives, k=k, stochastic=which == "S")
+    problem = _Problem(points, lanes.tolist(), cost_of, derivatives, k=k)
     for i, out in zip(lanes, newton_lanes(problem.costs, problem.grad_hess, x0, opts, positive, blocks)):
         if out.error is not None:
             results[i] = out.error

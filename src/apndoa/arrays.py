@@ -104,17 +104,20 @@ def angles_valid(theta: np.ndarray) -> np.ndarray:
     return (np.abs(theta).max(axis=-1) < _HALF_PI) & (s[..., 1:] > s[..., :-1]).all(axis=-1)
 
 
+def noise_valid(lam: np.ndarray) -> np.ndarray:
+    """Whether each row of ``lam`` (the last axis holds one noise
+    profile) is positive and finite.  NaN fails both bounds."""
+    return (lam.min(axis=-1) > 0.0) & (lam.max(axis=-1) < np.inf)
+
+
 def _check_angles(theta, m_sensors=None) -> np.ndarray:
     t = np.asarray(theta, dtype=float)
     if t.ndim != 2:
         t = t.ravel()
     if t.shape[-1] < 1:
         raise ValueError("at least one angle is required")
-    # one test passes valid input (a NaN sorts last and fails the bound or
-    # the order); only a failure looks further, to name the rule that broke
-    s = np.sort(t)
-    hi = np.abs(t).max() if t.ndim == 2 else max(-s[0], s[-1])
-    if not (hi < _HALF_PI and (s[..., 1:] > s[..., :-1]).all()):
+    # only a failure looks further, to name the rule that broke
+    if not angles_valid(t).all():
         if not np.isfinite(t).all():
             raise ValueError("angles must be finite")
         if (np.abs(t) >= _HALF_PI).any():
@@ -149,7 +152,12 @@ def steering_set(geometry: ArrayGeometry, theta) -> SteeringSet:
         ``phi``, ``d1``, ``d2`` of shape (M, K), or (T, M, K) for a stack;
         each lane of a stack has the bits of its own call.
     """
-    t = _check_angles(theta, geometry.m)
+    return _steering_set(geometry, _check_angles(theta, geometry.m))
+
+
+def _steering_set(geometry: ArrayGeometry, t: np.ndarray) -> SteeringSet:
+    """:func:`steering_set` at the float array ``t`` of valid angles,
+    which it does not check."""
     jpp = 1j * np.pi * geometry.positions[:, None]
     lane = (slice(None), None) if t.ndim == 2 else ()       # (T, K) -> (T, 1, K)
     u = jpp * np.sin(t)[lane]
@@ -273,11 +281,9 @@ def _check_noise(lam, m: int) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 2:
         lam = lam.ravel()
-    # one test passes valid input (NaN fails both bounds); only a failure
-    # looks further, to name the rule that broke
-    if not (lam.shape[-1] == m and 0.0 < lam.min() and lam.max() < np.inf):
-        if lam.shape[-1] != m:
-            raise ValueError("noise profile length must match the sensor count")
+    if lam.shape[-1] != m:
+        raise ValueError("noise profile length must match the sensor count")
+    if not noise_valid(lam).all():
         raise ValueError("noise parameters must be positive and finite")
     return lam
 

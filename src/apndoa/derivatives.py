@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import cho_solve, per_lane, solve_upper
-from .workspace import WhitenedWorkspace
+from .workspace import WhitenedWorkspace, _require_uniform
 
 __all__ = [
     "GradientBlocks",
@@ -364,9 +364,8 @@ def _uniform(ws: WhitenedWorkspace) -> tuple:
 
 def grad_dml_uniform(ws: WhitenedWorkspace) -> np.ndarray:
     """Gradient of the uniform-noise deterministic cost over theta."""
-    if (ws.lam != 1.0).any():
-        raise ValueError("uniform gradient requires a workspace with lambda == 1")
-    return _uniform(ws)[0]
+    _require_uniform(ws, "gradient")
+    return _grad_dml_uniform(ws)
 
 
 def hess_dml_uniform(ws: WhitenedWorkspace, exact: bool = False) -> np.ndarray:
@@ -377,8 +376,19 @@ def hess_dml_uniform(ws: WhitenedWorkspace, exact: bool = False) -> np.ndarray:
     positive-semidefinite factors, so Newton steps built from it always
     ascend); ``exact=True`` evaluates all five summands.
     """
-    if (ws.lam != 1.0).any():
-        raise ValueError("uniform Hessian requires a workspace with lambda == 1")
+    _require_uniform(ws, "Hessian")
+    return _hess_dml_uniform(ws, exact)
+
+
+def _grad_dml_uniform(ws: WhitenedWorkspace) -> np.ndarray:
+    """:func:`grad_dml_uniform` at a workspace built with lambda one,
+    which it does not check."""
+    return _uniform(ws)[0]
+
+
+def _hess_dml_uniform(ws: WhitenedWorkspace, exact: bool = False) -> np.ndarray:
+    """:func:`hess_dml_uniform` at a workspace built with lambda one,
+    which it does not check."""
     if exact:
         return _kernel(ws, "D", False, "theta")[1]
     return _uniform(ws)[1]

@@ -160,9 +160,11 @@ class WhitenedWorkspace:
     ``logdet_c`` and ``b_solve`` raise :class:`IndefiniteCovarianceError`
     otherwise.  The deterministic cost path never touches it.
 
-    A stack of T lanes has a leading (T,) axis on every array field;
-    ``full_rank`` then marks the lanes whose steering passed the rank
-    check, and the properties above are for unstacked workspaces only.
+    ``full_rank`` says whether the steering passed the rank check, which
+    an unstacked workspace from :func:`build_workspace` always has.  A
+    stack of T lanes has a leading (T,) axis on every array field,
+    ``full_rank`` then marks the lanes that passed, and the properties
+    above are for unstacked workspaces only.
     """
 
     steering: SteeringSet
@@ -247,30 +249,32 @@ class WhitenedWorkspace:
 
     # -- stochastic-path factors ------------------------------------------
 
-    def b_factors(self) -> list:
-        """The Cholesky factor of ``b`` per lane of a stack, ``None`` where
-        ``b`` is not positive definite; made once."""
-        if self._b_chol is None:
-            self._b_chol = [cholesky(x) for x in self.b]
+    def b_factors(self):
+        """The Cholesky factor of ``b``, or per lane of a stack a list of
+        them; ``None`` where ``b`` is not positive definite.  Made once."""
+        if self._b_chol is None and self._b_error is None:
+            if self.stacked:
+                self._b_chol = [cholesky(x) for x in self.b]
+            else:
+                self._b_chol = cholesky(self.b)
+                if self._b_chol is None:
+                    self._b_error = spd_error()
         return self._b_chol
+
+    def b_definite(self):
+        """Whether ``b`` is positive definite, per lane of a stack."""
+        factors = self.b_factors()
+        return np.array([f is not None for f in factors]) if self.stacked else factors is not None
 
     def _require_spd(self):
         """The factor of an unstacked workspace, or the lanes' factors of a
         stack; raises if any lane's ``b`` is not positive definite."""
+        factors = self.b_factors()
         if self._b_error is not None:
             raise self._b_error
-        if self.phi.ndim == 3:
-            factors = self.b_factors()
-            if None in factors:
-                raise spd_error()
-            return factors
-        if self._b_chol is None:
-            chol = cholesky(self.b)
-            if chol is None:
-                self._b_error = spd_error()
-                raise self._b_error
-            self._b_chol = chol
-        return self._b_chol
+        if self.stacked and None in factors:
+            raise spd_error()
+        return factors
 
     def b_solve(self, a: np.ndarray) -> np.ndarray:
         """Solve (Q^H R_zl Q) x = a via the kept Cholesky factor."""
@@ -384,14 +388,21 @@ def build_workspace(
     lam = _check_noise(lam, m)
     if lam.shape[:-1] != steering.phi.shape[:-2]:
         raise ValueError("noise profiles do not match the steering set")
+    ws = _build_workspace(r_z, steering, lam)
+    if not (ws.all_full_rank or ws.stacked):
+        raise rank_error()
+    return ws
 
+
+def _build_workspace(r_z: SampleCovariance, steering: SteeringSet, lam: np.ndarray) -> WhitenedWorkspace:
+    """:func:`build_workspace` of a covariance and a float array ``lam``
+    of valid noise parameters that match the steering set, which it does
+    not check.  It does not raise for rank deficiency: ``full_rank``
+    marks it, also on an unstacked workspace."""
     phi = lam[..., :, None] * steering.phi
     q, r, q_perp = complete_qr(phi)
     diag = np.abs(r.diagonal(0, -2, -1))
     full_rank = diag.min(axis=-1) > RANK_RTOL * diag.max(axis=-1)
-    all_full_rank = bool(full_rank if phi.ndim == 2 else full_rank.all())
-    if not (all_full_rank or phi.ndim == 3):
-        raise rank_error()
 
     # row/column scaling instead of dense diagonal products
     r_zl = (lam[..., :, None] * r_z.matrix) * lam[..., None, :]
@@ -413,7 +424,7 @@ def build_workspace(
         qh_r=qh_r,
         b=b,
         full_rank=full_rank,
-        all_full_rank=all_full_rank,
+        all_full_rank=bool(full_rank.all()),
     )
 
 
@@ -449,6 +460,13 @@ def _sml(ws: WhitenedWorkspace):
     return _dml(ws) + _lc(ws)
 
 
+def _require_uniform(ws: WhitenedWorkspace, what: str):
+    """Raise unless ``ws`` was built with lambda identically one, as the
+    uniform-noise ``what`` needs."""
+    if (ws.lam != 1.0).any():
+        raise ValueError(f"uniform {what} requires a workspace with lambda == 1")
+
+
 def cost_dml_uniform(ws: WhitenedWorkspace):
     """Uniform-noise deterministic cost -N tr{(I - P_o) R_z}.
 
@@ -456,8 +474,13 @@ def cost_dml_uniform(ws: WhitenedWorkspace):
     arithmetic path is then shared bit-for-bit with :func:`cost_dml`,
     whose log term vanishes exactly.
     """
-    if (ws.lam != 1.0).any():
-        raise ValueError("uniform cost requires a workspace with lambda == 1")
+    _require_uniform(ws, "cost")
+    return _cost_dml_uniform(ws)
+
+
+def _cost_dml_uniform(ws: WhitenedWorkspace):
+    """:func:`cost_dml_uniform` at a workspace built with lambda one,
+    which it does not check."""
     return _cached(ws, "uniform", _trace_cost)
 
 

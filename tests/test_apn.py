@@ -422,6 +422,49 @@ def test_sml_cost_is_exact_when_a_lambda_runs_away(target):
     assert abs(res.cost - like) <= 1e-9 * abs(like)
 
 
+def test_each_row_of_a_store_is_feasible_as_in_a_store_of_its_own():
+    """The store decides once whether a row's point is feasible, and the
+    cost and derivative callbacks read that.  In a four-lane stochastic
+    store, an angle out of range, two angles 1e-14 apart (valid, but the
+    steering is rank deficient) and a covariance with a negative
+    eigenvalue (the compressed covariance does not factor) each read the
+    -inf cost and the derivative error of the row's one-lane store, and
+    the valid row keeps the bits of its one-lane store."""
+    from apndoa.apn import _Problem, _Workspaces
+    from apndoa.derivatives import grad_hess
+    from apndoa.workspace import IndefiniteCovarianceError, RankDeficiencyError, cost_sml
+
+    lam = linear_trend(GEOM.m)
+    angles = (THETA, [-0.2513, 0.1571, 1.6], [0.3, 0.3 + 1e-14, 0.9], THETA)
+    x = np.array([np.concatenate([t, lam]) for t in angles])
+    rz = sample_covariance(snapshots(20.0)[0])
+    q, _ = np.linalg.qr(lam[:, None] * steering_set(GEOM, THETA).phi)
+    # whitened, the covariance is I - 1.5 Q Q^H, so that b = -0.5 I
+    indefinite = (np.eye(GEOM.m) - 1.5 * (q @ q.conj().T)) / np.outer(lam, lam)
+    covs = [rz, rz, rz, SampleCovariance(indefinite, 100)]
+
+    def derivatives(ws, block=None):
+        return grad_hess(ws, "S", block=block)
+
+    def run(covariances, rows):
+        lanes = list(range(len(rows)))
+        problem = _Problem(_Workspaces(covariances, GEOM, stochastic=True), lanes, cost_sml, derivatives, k=3)
+        return problem.costs(rows, lanes), problem.grad_hess(rows, lanes)
+
+    costs, (g, h, failed) = run(covs, x)
+    assert costs[1:] == [-np.inf] * 3 and np.isfinite(costs[0])
+    assert [type(failed.get(j)) for j in range(4)] == [
+        type(None), RankDeficiencyError, RankDeficiencyError, IndefiniteCovarianceError]
+    for j in range(4):
+        (cost,), (g1, h1, failed1) = run(covs[j:j + 1], x[j:j + 1])
+        assert cost.hex() == costs[j].hex()
+        if j == 0:
+            assert failed1 == {}
+            assert g1[0].tobytes() == g[0].tobytes() and h1[0].tobytes() == h[0].tobytes()
+        else:
+            assert (type(failed1[0]), str(failed1[0])) == (type(failed[j]), str(failed[j]))
+
+
 # the (module, name) pairs through which apnbench/layertrace.py times one
 # layer's calls into another; a name the package stops calling reads 0
 # in the benchmark's per-layer metrics with only a warning
