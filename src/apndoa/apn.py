@@ -201,6 +201,7 @@ def ap_add_angle(
 
     q = None
     if theta.size:
+        # steering_set is the unchecked core here, and theta the caller's
         q, _, _ = complete_qr(steering_set(geometry, _check_angles(theta)).phi)
 
     scores = np.full(grid, -np.inf)
