@@ -406,16 +406,17 @@ class _Workspaces:
             theta, lam = theta[missing], lam[missing]
         valid = (angles_valid(theta) & noise_valid(lam)).tolist()
         built = [j for j, v in zip(missing, valid) if v]
-        ws, faults = None, None
         if built:
             if len(built) < len(valid):
                 theta, lam = theta[valid], lam[valid]
             ws = build_workspace(self.r_z.lanes([lanes[j] for j in built]), steering_set(self.geometry, theta), lam)
-            definite = ws.b_definite().tolist() if stochastic else [True] * len(built)
-            faults = enumerate(map(_fault, ws.full_rank.tolist(), definite))
+            definite = ws.b_definite() if stochastic else [True] * len(built)
+            for r, (j, full_rank) in enumerate(zip(built, ws.full_rank.tolist())):
+                refs[j] = (refs[j], ws, r, _fault(full_rank, definite[r]))
         for j, v in zip(missing, valid):
-            row, fault = next(faults) if v else (None, rank_error)
-            refs[j] = self._last[lanes[j]] = (refs[j], ws if v else None, row, fault)
+            if not v:
+                refs[j] = (refs[j], None, None, rank_error)
+            self._last[lanes[j]] = refs[j]
 
 
 def _fault(full_rank: bool, definite: bool):

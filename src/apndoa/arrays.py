@@ -100,14 +100,16 @@ def angles_valid(theta: np.ndarray) -> np.ndarray:
     """Whether each row of ``theta`` (the last axis holds one set of
     angles) is a valid angle set: sorted, it strictly increases inside
     (-pi/2, pi/2).  NaN sorts last and fails the bound."""
+    # ufunc reductions here and in noise_valid: the array methods' Python
+    # wrappers cost more than the test itself at these sizes
     s = np.sort(theta)
-    return (np.abs(theta).max(axis=-1) < _HALF_PI) & (s[..., 1:] > s[..., :-1]).all(axis=-1)
+    return (-_HALF_PI < s[..., 0]) & (s[..., -1] < _HALF_PI) & np.logical_and.reduce(s[..., 1:] > s[..., :-1], axis=-1)
 
 
 def noise_valid(lam: np.ndarray) -> np.ndarray:
     """Whether each row of ``lam`` (the last axis holds one noise
     profile) is positive and finite.  NaN fails both bounds."""
-    return (lam.min(axis=-1) > 0.0) & (lam.max(axis=-1) < np.inf)
+    return (np.minimum.reduce(lam, axis=-1) > 0.0) & (np.maximum.reduce(lam, axis=-1) < np.inf)
 
 
 def _check_angles(theta, m_sensors=None) -> np.ndarray:

@@ -262,9 +262,10 @@ class WhitenedWorkspace:
         return self._b_chol
 
     def b_definite(self):
-        """Whether ``b`` is positive definite, per lane of a stack."""
+        """Whether ``b`` is positive definite, or per lane of a stack a
+        list of whether it is."""
         factors = self.b_factors()
-        return np.array([f is not None for f in factors]) if self.stacked else factors is not None
+        return [f is not None for f in factors] if self.stacked else factors is not None
 
     def _require_spd(self):
         """The factor of an unstacked workspace, or the lanes' factors of a
