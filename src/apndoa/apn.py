@@ -307,7 +307,8 @@ class _Workspaces:
 
     An entry keeps whether its point is feasible, decided once, when the
     entry is made, by three tests: its angles and noise parameters are
-    valid (a point that fails is not built); its whitened steering is
+    valid (a point that fails is not built; lambda one, the store's own
+    read-only array, is valid as made); its whitened steering is
     full rank; and, for the stochastic cost (a ``stochastic`` store's
     points with lambda), its compressed covariance ``b`` is positive
     definite, read from the Cholesky factor that the cost and the
@@ -365,12 +366,12 @@ class _Workspaces:
                     entry = key
             refs.append(entry)
         if missing:
-            theta, lam = (x, self.ones[:len(x)]) if k is None else (x[:, :k], x[:, k:])
-            stochastic = self.stochastic and k is not None
+            with_lam = k is not None
+            theta, lam = (x[:, :k], x[:, k:]) if with_lam else (x, self.ones[:len(x)])
             if self.single:
-                self._build_single(theta[0], lam[0], refs, stochastic)
+                self._build_single(theta[0], lam[0], refs, with_lam)
             else:
-                self._build_stack(lanes, theta, lam, missing, refs, stochastic)
+                self._build_stack(lanes, theta, lam, missing, refs, with_lam)
         if hold:
             for lane, ref in zip(lanes, refs):
                 held[lane] = ref
@@ -383,8 +384,10 @@ class _Workspaces:
             return None, faults
         return (refs[0][1] if self.single else _gather(refs)), faults
 
-    def _build_single(self, theta, lam, refs, stochastic: bool):
-        """Make the one lane's entry at (theta, lam) into ``refs``."""
+    def _build_single(self, theta, lam, refs, with_lam: bool):
+        """Make the one lane's entry at (theta, lam) into ``refs``;
+        ``lam`` is the point's own if ``with_lam``, else the store's
+        ones."""
         angles = theta.tobytes()
         # a lambda step keeps theta, and with it the steering set, whose
         # angles a built entry has shown valid
@@ -394,23 +397,27 @@ class _Workspaces:
                 steering = entry[1].steering
                 break
         ws, fault = None, rank_error
-        if (steering is not None or angles_valid(theta)) and noise_valid(lam):
+        if (steering is not None or angles_valid(theta)) and (not with_lam or noise_valid(lam)):
             ws = build_workspace(self.covariances[0], steering or steering_set(self.geometry, theta), lam)
-            fault = _fault(ws.full_rank, not stochastic or ws.b_definite())
+            fault = _fault(ws.full_rank, not (with_lam and self.stochastic) or ws.b_definite())
         refs[0] = self._last[0] = (refs[0], ws, None, fault)
 
-    def _build_stack(self, lanes, theta, lam, missing, refs, stochastic: bool):
+    def _build_stack(self, lanes, theta, lam, missing, refs, with_lam: bool):
         """Make the ``missing`` rows' entries into ``refs``, building the
-        rows whose angles and noise parameters are valid as one stack."""
+        rows whose angles and noise parameters are valid as one stack;
+        ``lam`` is as in :meth:`_build_single`."""
         if len(missing) < len(lanes):
             theta, lam = theta[missing], lam[missing]
-        valid = (angles_valid(theta) & noise_valid(lam)).tolist()
+        valid = angles_valid(theta)
+        if with_lam:
+            valid &= noise_valid(lam)
+        valid = valid.tolist()
         built = [j for j, v in zip(missing, valid) if v]
         if built:
             if len(built) < len(valid):
                 theta, lam = theta[valid], lam[valid]
             ws = build_workspace(self.r_z.lanes([lanes[j] for j in built]), steering_set(self.geometry, theta), lam)
-            definite = ws.b_definite() if stochastic else [True] * len(built)
+            definite = ws.b_definite() if with_lam and self.stochastic else [True] * len(built)
             for r, (j, full_rank) in enumerate(zip(built, ws.full_rank.tolist())):
                 refs[j] = (refs[j], ws, r, _fault(full_rank, definite[r]))
         for j, v in zip(missing, valid):
