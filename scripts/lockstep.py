@@ -13,30 +13,40 @@ share the host's state from moment to moment.  Separate processes a few
 seconds apart do not on a shared host, where the runs of one pair can
 differ by 30%.
 
-Two groups are timed, each as its benchmark workload calls the package:
+Three groups are timed, each as its benchmark workload calls the
+package:
 
 * ``sml``: ``apn_estimate(z, target="sml")`` on the raw snapshot matrix
   (the ``single-sml`` workload);
 * ``alt``: ``sml-alt`` and then ``dml-alt`` on one ``SampleCovariance``
-  made beforehand, untimed (the ``alt`` workload).
+  made beforehand, untimed (the ``alt`` workload);
+* ``sweep``: per round, ``run_monte_carlo(cfg, threads=1)`` and
+  ``write_csv`` of its result to a ``StringIO``, where ``cfg`` is the
+  bundled scenario with one trial of ``music``, ``dmlo``, ``sml`` and
+  ``sml-red`` at the round's seed, made beforehand by each tree, untimed
+  (the ``sweep`` workload: 20 estimates a round).
 
 For each group it prints each tree's CPU milliseconds per estimate (all
 repetitions pooled), their ratio, change over base, and the quartiles of
 the ratio over the repetitions.  A ratio above one means the working
-tree is slower.  The first batch runs once on each tree, untimed.
+tree is slower.  The first batch and the first round run once on each
+tree, untimed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
+import io
 import statistics
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-GROUPS = {"sml": ("sml",), "alt": ("sml-alt", "dml-alt")}
+SWEEP_ESTIMATORS = ("music", "dmlo", "sml", "sml-red")
+GROUPS = {"sml": ("sml",), "alt": ("sml-alt", "dml-alt"), "sweep": SWEEP_ESTIMATORS}
 
 
 def load_tree(tree: Path, name: str):
@@ -76,6 +86,20 @@ def time_group(pkg, scen, z, rz, targets) -> float:
     return total
 
 
+def sweep_config(pkg, seed: int, rnd: int):
+    """The ``sweep`` workload's one-trial config of round ``rnd``."""
+    return dataclasses.replace(
+        pkg.montecarlo.benchmark_scenario(), trials=1, estimators=SWEEP_ESTIMATORS, seed=seed * 1_000_003 + rnd
+    )
+
+
+def time_sweep(pkg, cfg) -> float:
+    """CPU seconds of one ``sweep`` round, as the workload runs it."""
+    t0 = time.process_time()
+    pkg.montecarlo.write_csv(pkg.montecarlo.run_monte_carlo(cfg, threads=1), io.StringIO())
+    return time.process_time() - t0
+
+
 def summarize(cpu: dict, estimates: dict) -> dict:
     """Per group, from ``cpu[group][side]``, the CPU seconds of each
     repetition on each side (``"base"``, ``"change"``), and
@@ -113,25 +137,36 @@ def main(argv=None) -> int:
 
     scen = Scenario(trees["change"])
     lo, hi = (int(x) for x in args.rounds.split("-"))
-    batches = [scen.batch(args.seed, rnd, si) for rnd in range(lo, hi + 1) for si in range(len(scen.snr_db))]
-    for pkg in trees.values():
-        for targets in GROUPS.values():
-            time_group(pkg, scen, *batches[0], targets)
+    rounds = range(lo, hi + 1)
+    configs = {side: [sweep_config(pkg, args.seed, rnd) for rnd in rounds] for side, pkg in trees.items()}
+    # the timed units in run order, as (group, index in group, timing of a
+    # side): per round, both batch groups at each SNR, then the round's sweep
+    units, batches = [], 0
+    for i, rnd in enumerate(rounds):
+        for si in range(len(scen.snr_db)):
+            z, rz = scen.batch(args.seed, rnd, si)
+            for g in ("sml", "alt"):
+                units.append((g, batches, lambda side, g=g, z=z, rz=rz: time_group(trees[side], scen, z, rz, GROUPS[g])))
+            batches += 1
+        units.append(("sweep", i, lambda side, i=i: time_sweep(trees[side], configs[side][i])))
+    for side in trees:
+        for g, i, run in units:
+            if i == 0:
+                run(side)
 
     cpu = {g: {"base": [], "change": []} for g in GROUPS}
     for rep in range(args.reps):
         totals = {(g, side): 0.0 for g in GROUPS for side in trees}
-        for i, (z, rz) in enumerate(batches):
-            order = ("base", "change") if (i + rep) % 2 == 0 else ("change", "base")
-            for g, targets in GROUPS.items():
-                for side in order:
-                    totals[g, side] += time_group(trees[side], scen, z, rz, targets)
+        for g, i, run in units:
+            for side in ("base", "change") if (i + rep) % 2 == 0 else ("change", "base"):
+                totals[g, side] += run(side)
         for (g, side), seconds in totals.items():
             cpu[g][side].append(seconds)
         print(f"rep {rep}: " + ", ".join(
             f"{g} {cpu[g]['change'][-1] / cpu[g]['base'][-1]:.3f}" for g in GROUPS), file=sys.stderr, flush=True)
 
-    estimates = {g: len(batches) * len(targets) for g, targets in GROUPS.items()}
+    estimates = {g: batches * len(GROUPS[g]) for g in ("sml", "alt")}
+    estimates["sweep"] = len(rounds) * len(scen.snr_db) * len(SWEEP_ESTIMATORS)
     for g, s in summarize(cpu, estimates).items():
         r = s["rep_ratio"]
         print(f"{g}: base {s['base_ms']:.3f} ms, change {s['change_ms']:.3f} ms per estimate, "

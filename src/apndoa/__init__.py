@@ -78,6 +78,7 @@ from .montecarlo import (
     TrialRecord,
     aggregate,
     benchmark_scenario,
+    benchmark_spec,
     load_scenario,
     match_angles,
     read_csv,

@@ -36,7 +36,6 @@ and ``dml-alt`` exist for study and comparison; the run is flagged via
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,7 @@ from ._lapack import complete_qr
 # here _Workspaces decides each point's feasibility once.  They keep the
 # public names, through which the benchmark's per-layer trace
 # (apnbench/layertrace.py) times and counts the calls.
-from .arrays import ArrayGeometry, _check_angles, _steering_set as steering_set, angles_valid, noise_valid
+from .arrays import ArrayGeometry, _check_angles, _grid_steering, _steering_set as steering_set, angles_valid, noise_valid
 from .derivatives import _grad_dml_uniform as grad_dml_uniform, _hess_dml_uniform as hess_dml_uniform, grad_hess
 from .newton import NewtonOptions, NewtonOutcome, newton_lanes
 from .workspace import (
@@ -150,18 +149,6 @@ def _line_search(geometry: ArrayGeometry, grid_size, exclusion_radius):
     grid = grid_size or _default_grid(geometry.m)
     r_excl = default_exclusion(geometry) if exclusion_radius is None else exclusion_radius
     return grid, r_excl
-
-
-@functools.lru_cache(maxsize=16)
-def _grid_steering(positions: bytes, grid: int):
-    """The insertion grid's midpoint angles and their M x grid steering
-    matrix, read-only: made once per array and grid size, since every
-    insertion of every estimate scores columns of the same matrix (each
-    column has the bits it has when computed alone)."""
-    centers = -_HALF_PI + np.pi * (np.arange(grid) + 0.5) / grid
-    phi = np.exp(1j * np.pi * np.frombuffer(positions)[:, None] * np.sin(centers)[None, :])
-    centers.flags.writeable = phi.flags.writeable = False
-    return centers, phi
 
 
 def ap_add_angle(

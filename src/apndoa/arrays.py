@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,6 +170,19 @@ def _steering_set(geometry: ArrayGeometry, t: np.ndarray) -> SteeringSet:
     d1 = a * phi
     d2 = (a * a - u) * phi
     return SteeringSet(theta=t, phi=phi, d1=d1, d2=d2)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_steering(positions: bytes, grid: int):
+    """The midpoint grid of ``grid`` angles over (-pi/2, pi/2) and its
+    M x grid steering matrix, for the sensor positions ``positions``
+    (float64 bytes), read-only: made once per array and grid size, since
+    every insertion line search and every MUSIC spectrum reads the same
+    matrix (each column has the bits it has when computed alone)."""
+    centers = -_HALF_PI + np.pi * (np.arange(grid) + 0.5) / grid
+    phi = np.exp(1j * np.pi * np.frombuffer(positions)[:, None] * np.sin(centers)[None, :])
+    centers.flags.writeable = phi.flags.writeable = False
+    return centers, phi
 
 
 @dataclass(frozen=True)

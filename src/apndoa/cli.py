@@ -28,7 +28,7 @@ from .arrays import scale_for_snr, stream_rng, synthesize
 from .flops import flop_polynomials
 from .montecarlo import (
     ESTIMATORS,
-    benchmark_scenario,
+    benchmark_spec,
     run_monte_carlo,
     scenario_from_dict,
     write_csv,
@@ -125,25 +125,17 @@ def _scenario_from_args(args):
     if args.config:
         with open(args.config, "r") as fh:
             spec = json.load(fh)
-        if getattr(args, "seed", None) is not None:
-            spec["seed"] = args.seed
-        if getattr(args, "trials", None) is not None:
-            spec["trials"] = args.trials
-        if getattr(args, "snr", None):
-            spec["snr_db"] = [float(s) for s in args.snr.split(",")]
-        if getattr(args, "estimators", None):
-            spec["estimators"] = [e for e in args.estimators.split(",") if e]
-        return scenario_from_dict(spec)
-    overrides = {}
+    else:
+        spec = benchmark_spec(correlated=args.correlated)
     if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
+        spec["seed"] = args.seed
     if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
+        spec["trials"] = args.trials
     if getattr(args, "snr", None):
-        overrides["snr_db"] = tuple(float(s) for s in args.snr.split(","))
+        spec["snr_db"] = [float(s) for s in args.snr.split(",")]
     if getattr(args, "estimators", None):
-        overrides["estimators"] = tuple(e for e in args.estimators.split(",") if e)
-    return benchmark_scenario(correlated=getattr(args, "correlated", False), **overrides)
+        spec["estimators"] = [e for e in args.estimators.split(",") if e]
+    return scenario_from_dict(spec)
 
 
 def _cmd_simulate(args) -> int:

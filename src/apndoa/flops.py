@@ -129,7 +129,6 @@ def pipeline_flop_estimate(
     stage3,
     target: str,
     n_snapshots: int | None = None,
-    evaluations_only: bool = False,
 ) -> float:
     """Total work estimate for one pipeline run from its iteration counts.
 
@@ -141,14 +140,9 @@ def pipeline_flop_estimate(
     stage-2 noise fit (:func:`noise_init_flops`).  The reduced-Hessian
     target is charged the full polynomial, making its estimate a mild
     upper bound.
-
-    ``evaluations_only=True`` charges the candidate scoring and the cost
-    and derivative evaluations alone: nothing for the sample covariance
-    or the noise fit, so a run with zero iterations and zero candidate
-    evaluations costs exactly zero.
     """
     total = 0.0
-    if n_snapshots and not evaluations_only:
+    if n_snapshots:
         total += covariance_flops(m, n_snapshots)
     for j, st in enumerate(stage1):
         kk = j + 1
@@ -159,6 +153,5 @@ def pipeline_flop_estimate(
         which = "D" if target.startswith("dml") else "S"
         total += stage3.grad_evals * eval_flops(m, k, which, derivatives=True)
         total += max(stage3.cost_evals - stage3.grad_evals, 0) * eval_flops(m, k, which)
-        if not evaluations_only:
-            total += noise_init_flops(m)
+        total += noise_init_flops(m)
     return total

@@ -10,12 +10,10 @@ the scenario and seed, never on evaluation order or thread count.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +31,7 @@ from .arrays import (
 from .flops import CMULADD
 from .music import music_estimate
 from .newton import NewtonOptions
+from .snapshots import _opened
 from .workspace import sample_covariance
 
 __all__ = [
@@ -45,6 +44,7 @@ __all__ = [
     "match_angles",
     "aggregate",
     "run_monte_carlo",
+    "benchmark_spec",
     "benchmark_scenario",
     "scenario_from_dict",
     "load_scenario",
@@ -136,11 +136,12 @@ class ScenarioConfig:
 class TrialRecord:
     """One estimator's outcome on one synthesized batch.
 
-    ``theta_hat`` is permuted to the error-minimizing alignment with the
-    ascending-sorted true angles, so ``sq_err[i]`` pairs ``theta_hat[i]``
-    with ``theta_true[i]``.  ``note`` is the run's termination note
-    (empty for a run that converged, "line search found no ascent step"
-    for a stall, and so on).  A failed run (a linear-algebra or value
+    ``theta_hat`` and ``theta_true`` are both sorted ascending, the
+    pairing of least total squared error (see :func:`match_angles`), so
+    ``sq_err[i]`` pairs ``theta_hat[i]`` with ``theta_true[i]``.
+    ``note`` is the run's termination note (empty for a run that
+    converged, "line search found no ascent step" for a stall, and so
+    on).  A failed run (a linear-algebra or value
     error out of the estimator) keeps NaN estimates and the error text
     in ``note``; such failures never abort a sweep or another lane.
     """
@@ -190,53 +191,25 @@ class MonteCarloResult:
     aggregates: tuple
 
 
-def match_angles(theta_true, theta_hat, method: str = "exhaustive"):
-    """Align estimates against sorted true angles by total squared error.
+def match_angles(theta_true, theta_hat):
+    """Pair estimates with true angles at the least total squared error.
 
-    Parameters
-    ----------
-    theta_true, theta_hat : array_like
-        Equal-length angle vectors; the true angles are sorted ascending
-        before matching.
-    method : {'exhaustive', 'greedy'}
-        Exhaustive scans all K! assignments (limited to K <= 5) and is
-        optimal.  Greedy repeatedly pairs the closest remaining angles;
-        its total squared error can only be worse or equal.
+    The pairing is both vectors sorted ascending: by the rearrangement
+    inequality, pairing the i-th smallest estimate with the i-th
+    smallest true angle minimizes the sum of squared errors over all K!
+    assignments, at every K.
 
     Returns
     -------
     matched : ndarray
-        ``theta_hat`` reordered to the chosen assignment.
+        ``theta_hat`` sorted ascending.
     sq_err : ndarray
         Entrywise squared errors against the sorted true angles.
     """
     t = np.sort(np.asarray(theta_true, dtype=float).ravel())
-    h = np.asarray(theta_hat, dtype=float).ravel()
-    if h.size != t.size:
+    matched = np.sort(np.asarray(theta_hat, dtype=float).ravel())
+    if matched.size != t.size:
         raise ValueError("angle vectors must have equal length")
-    k = t.size
-    if method == "exhaustive":
-        if k > 5:
-            raise ValueError("exhaustive matching is limited to K <= 5")
-        best = np.inf
-        matched = h
-        for perm in itertools.permutations(range(k)):
-            cand = h[list(perm)]
-            err = float(((cand - t) ** 2).sum())
-            if err < best:
-                best, matched = err, cand
-    elif method == "greedy":
-        rem_t, rem_h = list(range(k)), list(range(k))
-        pick = {}
-        while rem_t:
-            pairs = ((abs(t[i] - h[j]), i, j) for i in rem_t for j in rem_h)
-            _, i, j = min(pairs)
-            pick[i] = j
-            rem_t.remove(i)
-            rem_h.remove(j)
-        matched = h[[pick[i] for i in range(k)]]
-    else:
-        raise ValueError("method must be 'exhaustive' or 'greedy'")
     return matched, (matched - t) ** 2
 
 
@@ -244,10 +217,9 @@ def _record(config: ScenarioConfig, estimator: str, snr_db: float, trial: int, r
     """The record of one estimator's result on one batch: an
     :class:`~apndoa.apn.EstimationResult`, a MUSIC result, or the
     exception that stopped the run."""
-    k = config.k
     t_true = np.sort(config.theta_true)
     if isinstance(res, Exception):
-        nan = (math.nan,) * k
+        nan = (math.nan,) * config.k
         return TrialRecord(
             snr_db=float(snr_db),
             trial=trial,
@@ -277,8 +249,7 @@ def _record(config: ScenarioConfig, estimator: str, snr_db: float, trial: int, r
         flops = res.flop_estimate
         converged, diverged = res.converged, res.diverged_lambda
         note = res.note
-    method = "exhaustive" if k <= 5 else "greedy"
-    matched, sq = match_angles(t_true, res.theta, method=method)
+    matched, sq = match_angles(t_true, res.theta)
     return TrialRecord(
         snr_db=float(snr_db),
         trial=trial,
@@ -414,8 +385,9 @@ def run_monte_carlo(config: ScenarioConfig, threads: int | None = None) -> Monte
 
 # -- scenario construction -------------------------------------------------
 
-def benchmark_scenario(correlated: bool = False, **overrides) -> ScenarioConfig:
-    """The bundled 11-sensor benchmark scenario.
+def benchmark_spec(correlated: bool = False) -> dict:
+    """The bundled 11-sensor benchmark scenario, as a
+    :func:`scenario_from_dict` spec.
 
     Half-wavelength uniform linear array, three sources at
     [-0.2513, 0.1571, 1.005] rad, noise profile rising linearly to a
@@ -424,27 +396,29 @@ def benchmark_scenario(correlated: bool = False, **overrides) -> ScenarioConfig:
     realization shared by all trials; the correlated variant redraws
     Gaussian sources each trial with covariance U diag(v) U^H, v =
     [2.337, 6.604e-2, 4.642e-4] and one fixed Haar-unitary realization
-    U.  Keyword overrides are applied on top (``trials``, ``snr_db``,
-    ``estimators``, ``seed``, ...).
+    U.  The other keys take :func:`scenario_from_dict`'s defaults.
     """
-    seed = int(overrides.get("seed", 0))
-    n = int(overrides.get("n_snapshots", 100))
     if correlated:
-        u = random_unitary(3, stream_rng(seed, _UNITARY_STREAM))
-        v = np.array([2.337, 0.06604, 0.0004642])
-        model = StochasticModel((u * v[None, :]) @ u.conj().T)
+        source = {"eigenvalues": [2.337, 0.06604, 0.0004642]}
     else:
-        base = StochasticModel(np.diag([1.0, 0.64, 0.25]))
-        model = DeterministicModel(base.draw(n, stream_rng(seed, _SIGNAL_STREAM)))
-    config = ScenarioConfig(
-        geometry=ArrayGeometry.ula(11),
-        k=3,
-        theta_true=np.array([-0.2513, 0.1571, 1.005]),
-        source_model=model,
-        noise_trend=linear_trend(11, 10.0),
-        **overrides,
-    )
-    return config
+        source = {"powers": [1.0, 0.64, 0.25], "fixed": True}
+    return {
+        "geometry": {"ula": 11},
+        "k": 3,
+        "theta_true": [-0.2513, 0.1571, 1.005],
+        "source": source,
+        "noise_trend": {"ratio": 10.0},
+    }
+
+
+def benchmark_scenario(correlated: bool = False, **overrides) -> ScenarioConfig:
+    """The bundled benchmark scenario (see :func:`benchmark_spec`) with
+    the keyword ``overrides`` applied as spec keys (``trials``,
+    ``snr_db``, ``estimators``, ``seed``, ``options`` as a dict of
+    :class:`~apndoa.newton.NewtonOptions` fields, ...); an unknown key
+    raises ``ValueError``.
+    """
+    return scenario_from_dict({**benchmark_spec(correlated), **overrides})
 
 
 def scenario_from_dict(spec: dict) -> ScenarioConfig:
@@ -523,10 +497,8 @@ def scenario_from_dict(spec: dict) -> ScenarioConfig:
     if spec.get("options"):
         options = replace(NewtonOptions(), **spec["options"])
 
-    kwargs = {}
-    for key in ("snr_db", "trials", "estimators"):
-        if key in spec:
-            kwargs[key] = tuple(spec[key]) if key != "trials" else int(spec[key])
+    # ScenarioConfig normalizes these, a single SNR included
+    kwargs = {key: spec[key] for key in ("snr_db", "trials", "estimators") if key in spec}
     return ScenarioConfig(
         geometry=geometry,
         k=k,
@@ -627,17 +599,12 @@ def write_csv(result, f) -> None:
     content (timestamps, thread counts) is ever written.
     """
     rows = rows_from_result(result) if isinstance(result, MonteCarloResult) else result
-    own = isinstance(f, (str, Path))
-    fh = open(f, "w", newline="") if own else f
-    try:
+    with _opened(f, "w") as fh:
         for line in _CSV_PREAMBLE:
             fh.write(line + "\n")
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(_cell(x) for x in row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_csv(f) -> list:
@@ -646,13 +613,8 @@ def read_csv(f) -> list:
     The inverse of :func:`write_csv` up to byte identity: re-emitting
     the parsed rows reproduces the file exactly.
     """
-    own = isinstance(f, (str, Path))
-    fh = open(f, "r", newline="") if own else f
-    try:
+    with _opened(f, "r") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    finally:
-        if own:
-            fh.close()
     if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
         raise ValueError("unexpected sweep column layout")
 
@@ -683,26 +645,19 @@ def write_jsonl(result: MonteCarloResult, f) -> None:
     :func:`read_jsonl`.  NaN is written with the common JSON extension
     literal.
     """
-    own = isinstance(f, (str, Path))
-    fh = open(f, "w", newline="") if own else f
-    try:
+    with _opened(f, "w") as fh:
         for r in result.records:
             obj = {"type": "trial", **asdict(r)}
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
         for a in result.aggregates:
             obj = {"type": "aggregate", **asdict(a)}
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_jsonl(f) -> MonteCarloResult:
     """Rebuild a :class:`MonteCarloResult` from a JSONL file."""
-    own = isinstance(f, (str, Path))
-    fh = open(f, "r", newline="") if own else f
-    try:
-        records, aggregates = [], []
+    records, aggregates = [], []
+    with _opened(f, "r") as fh:
         for ln in fh:
             if not ln.strip():
                 continue
@@ -717,7 +672,4 @@ def read_jsonl(f) -> MonteCarloResult:
                 aggregates.append(AggregateRecord(**obj))
             else:
                 raise ValueError(f"unknown record type {kind!r}")
-    finally:
-        if own:
-            fh.close()
     return MonteCarloResult(records=tuple(records), aggregates=tuple(aggregates))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry
+from .arrays import ArrayGeometry, _grid_steering
 from .apn import default_exclusion
 from .workspace import SampleCovariance
 
@@ -46,8 +46,10 @@ def music_spectrum(
 ):
     """Pseudospectrum 1 / ||E_n^H phi(theta)||^2 on a midpoint grid.
 
-    Returns ``(grid_angles, values)``.  ``E_n`` spans the M - K smallest
-    eigenvectors of the sample covariance.
+    Returns ``(grid_angles, values)``; ``grid_angles`` is read-only, since
+    it and the grid's steering matrix are made once per array and grid
+    size and shared with every later call.  ``E_n`` spans the M - K
+    smallest eigenvectors of the sample covariance.
     """
     m = geometry.m
     if not (1 <= k < m):
@@ -55,8 +57,7 @@ def music_spectrum(
     grid = grid_size or 32 * m
     _, vecs = np.linalg.eigh(r_z.matrix)      # ascending eigenvalues
     noise_basis = vecs[:, : m - k]
-    angles = -_HALF_PI + np.pi * (np.arange(grid) + 0.5) / grid
-    phi = np.exp(1j * np.pi * geometry.positions[:, None] * np.sin(angles)[None, :])
+    angles, phi = _grid_steering(geometry.positions.tobytes(), grid)
     proj = noise_basis.conj().T @ phi
     denom = np.einsum("ij,ij->j", proj.conj(), proj).real
     return angles, 1.0 / np.maximum(denom, 1e-300)

@@ -14,6 +14,7 @@ line, cells alternating real and imaginary parts.
 from __future__ import annotations
 
 import struct
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,15 @@ SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4sIII")
 
 
+def _opened(f, mode: str):
+    """A context manager giving the file object ``f`` as it is, or the
+    path ``f`` opened in ``mode`` (a text mode without newline
+    translation) and closed on exit."""
+    if not isinstance(f, (str, Path)):
+        return nullcontext(f)
+    return open(f, mode) if "b" in mode else open(f, mode, newline="")
+
+
 def _as_matrix(z) -> np.ndarray:
     z = np.asarray(z)
     if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
@@ -49,14 +59,9 @@ def write_snapshots(z, f) -> None:
     z = _as_matrix(z)
     m, n = z.shape
     payload = np.ascontiguousarray(z.astype("<c8", copy=False)).tobytes()
-    own = isinstance(f, (str, Path))
-    fh = open(f, "wb") if own else f
-    try:
+    with _opened(f, "wb") as fh:
         fh.write(_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, m, n))
         fh.write(payload)
-    finally:
-        if own:
-            fh.close()
 
 
 def read_snapshots(f) -> np.ndarray:
@@ -65,13 +70,8 @@ def read_snapshots(f) -> np.ndarray:
     Returns the matrix widened to complex128 (exact, float32 embeds in
     float64).  Truncated or oversized payloads are rejected.
     """
-    own = isinstance(f, (str, Path))
-    fh = open(f, "rb") if own else f
-    try:
+    with _opened(f, "rb") as fh:
         raw = fh.read()
-    finally:
-        if own:
-            fh.close()
     if len(raw) < _HEADER.size:
         raise ValueError("snapshot container is truncated")
     magic, version, m, n = _HEADER.unpack_from(raw, 0)

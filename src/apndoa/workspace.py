@@ -188,8 +188,6 @@ class WhitenedWorkspace:
     # the uniform-noise gradient and Hessian, which stage 1 asks for
     # together; made by one pass of apndoa.derivatives on first use
     _uniform: tuple | None = field(default=None, init=False, repr=False)
-    # each cost by name, made on first use
-    _costs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -349,7 +347,6 @@ def _restack(parts, pick, chol) -> WhitenedWorkspace:
         _b_chol=chol,
         _b_error=None,
         _uniform=None,
-        _costs={},
     )
     return ws
 
@@ -429,15 +426,11 @@ def _build_workspace(r_z: SampleCovariance, steering: SteeringSet, lam: np.ndarr
     )
 
 
-def _cached(ws: WhitenedWorkspace, name: str, cost):
-    """``cost(ws)``, kept on the workspace; a stack's infeasible lanes
-    read -inf."""
-    value = ws._costs.get(name)
-    if value is None:
-        value = cost(ws)
-        if not ws.all_full_rank:
-            value = np.where(ws.full_rank, value, -np.inf)
-        ws._costs[name] = value
+def _masked(ws: WhitenedWorkspace, cost):
+    """``cost(ws)``, where a stack's rank-deficient lanes read -inf."""
+    value = cost(ws)
+    if not ws.all_full_rank:
+        value = np.where(ws.full_rank, value, -np.inf)
     return value
 
 
@@ -482,22 +475,22 @@ def cost_dml_uniform(ws: WhitenedWorkspace):
 def _cost_dml_uniform(ws: WhitenedWorkspace):
     """:func:`cost_dml_uniform` at a workspace built with lambda one,
     which it does not check."""
-    return _cached(ws, "uniform", _trace_cost)
+    return _masked(ws, _trace_cost)
 
 
 def cost_dml(ws: WhitenedWorkspace):
     """Concentrated deterministic cost N(2 log|Lambda| - tr{(I-P) R_zl})."""
-    return _cached(ws, "dml", _dml)
+    return _masked(ws, _dml)
 
 
 def cost_lc(ws: WhitenedWorkspace):
     """Stochastic correction -N log|C|, C = I - P + P R_zl P."""
-    return _cached(ws, "lc", _lc)
+    return _masked(ws, _lc)
 
 
 def cost_sml(ws: WhitenedWorkspace):
     """Concentrated stochastic cost, exactly cost_dml + cost_lc."""
-    return _cached(ws, "sml", _sml)
+    return _masked(ws, _sml)
 
 
 def concentrated_rs(ws: WhitenedWorkspace) -> np.ndarray:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from apndoa import read_csv, read_snapshots
+from apndoa import benchmark_spec, read_csv, read_snapshots
 from apndoa.cli import main
 
 
@@ -190,6 +190,17 @@ def test_sweep_from_config_file_with_overrides(tmp_path, capsys):
     # 1 snr x 2 trials x 1 estimator x 1 angle + 1 aggregate
     assert len(rows) == 3
     assert {r[1] for r in rows} == {"sml"}
+
+
+def test_sweep_of_the_bundled_spec_as_a_config_file_is_the_plain_sweep(tmp_path, capsys):
+    path = tmp_path / "bundled.json"
+    path.write_text(json.dumps(benchmark_spec()))
+    flags = ("--seed", "3", "--trials", "2", "--snr", "0,20", "--estimators", "music,dmlo")
+    plain, from_file = tmp_path / "plain.csv", tmp_path / "file.csv"
+    assert run_cli(capsys, "sweep", "--out", str(plain), *flags)[0] == 0
+    assert run_cli(capsys, "sweep", "--config", str(path), "--out", str(from_file), *flags)[0] == 0
+    assert from_file.read_bytes() == plain.read_bytes()
+    assert len(read_csv(plain)) == 2 * 2 * 2 * 3 + 2 * 2
 
 
 def test_sweep_bad_config_fails_cleanly(tmp_path, capsys):

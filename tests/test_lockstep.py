@@ -41,3 +41,18 @@ def test_the_ratio_pools_the_repetitions_and_the_quartiles_do_not():
 def test_one_repetition_is_its_own_quartiles():
     s = summarize({"sml": {"base": [2.0], "change": [2.1]}}, {"sml": 10})
     assert s["sml"]["rep_ratio"] == pytest.approx({"median": 1.05, "q1": 1.05, "q3": 1.05})
+
+
+def test_three_groups_are_summarized_apart():
+    # the sweep group's repetitions are rounds of 20 estimates each
+    cpu = {
+        "sml": {"base": [1.0, 1.0], "change": [1.0, 1.0]},
+        "alt": {"base": [2.0, 2.0], "change": [2.2, 2.2]},
+        "sweep": {"base": [0.6, 0.4], "change": [0.45, 0.4]},
+    }
+    s = summarize(cpu, {"sml": 100, "alt": 200, "sweep": 20})
+    assert list(s) == ["sml", "alt", "sweep"]
+    assert s["sml"]["ratio"] == 1.0 and s["alt"]["ratio"] == pytest.approx(1.1)
+    assert s["sweep"]["base_ms"] == pytest.approx(25.0) and s["sweep"]["change_ms"] == pytest.approx(21.25)
+    assert s["sweep"]["ratio"] == pytest.approx(0.85)
+    assert s["sweep"]["rep_ratio"] == pytest.approx({"median": 0.875, "q1": 0.8125, "q3": 0.9375})

@@ -3,6 +3,7 @@ serialization, and the determinism contracts."""
 
 import dataclasses
 import io
+import itertools
 import json
 
 import numpy as np
@@ -40,27 +41,51 @@ def tiny_config(**overrides):
 
 # -- angle matching ---------------------------------------------------------
 
-def test_exhaustive_matching_beats_greedy_on_the_crossing_case():
-    t = [0.0, 1.0]
-    h = [0.4, -0.4]
-    m_ex, sq_ex = match_angles(t, h, method="exhaustive")
-    m_gr, sq_gr = match_angles(t, h, method="greedy")
-    assert np.array_equal(m_ex, [-0.4, 0.4])
-    assert np.array_equal(m_gr, [0.4, -0.4])
-    assert sq_ex.sum() == pytest.approx(0.52)
-    assert sq_gr.sum() == pytest.approx(2.12)
-
-
-def test_exhaustive_never_loses_to_greedy():
+def test_sorted_matching_is_the_least_squared_error_pairing():
+    # against the minimum over all K! pairings, searched here, for K = 1..7;
+    # in the crossing case pairing each angle with its nearest estimate
+    # first gives 2.12 instead of 0.52
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        k = rng.integers(1, 6)
-        t = rng.uniform(-1.5, 1.5, k)
-        h = t + rng.normal(0, 0.5, k)
-        rng.shuffle(h)
-        _, sq_ex = match_angles(t, h, method="exhaustive")
-        _, sq_gr = match_angles(t, h, method="greedy")
-        assert sq_ex.sum() <= sq_gr.sum() + 1e-12
+    cases = [([0.0, 1.0], [0.4, -0.4])]
+    for k in range(1, 8):
+        for _ in range(30):
+            t = rng.uniform(-1.5, 1.5, k)
+            h = t + rng.normal(0, 0.5, k)
+            rng.shuffle(h)
+            cases.append((t, h))
+    for t, h in cases:
+        t_sorted = np.sort(t)
+        perms = np.array(list(itertools.permutations(range(len(h)))))
+        candidates = np.asarray(h)[perms]
+        best = candidates[np.argmin(((candidates - t_sorted) ** 2).sum(axis=1))]
+        matched, sq = match_angles(t, h)
+        assert np.array_equal(matched, best)
+        assert np.array_equal(sq, (best - t_sorted) ** 2)
+    matched, sq = match_angles([0.0, 1.0], [0.4, -0.4])
+    assert np.array_equal(matched, [-0.4, 0.4])
+    assert sq.sum() == pytest.approx(0.52)
+
+
+def test_records_pair_six_sources_at_the_least_squared_error():
+    # six equal-power sources at -10 dB, where pairing each angle with its
+    # nearest estimate first mis-pairs every record of these four trials
+    spec = {
+        "geometry": {"ula": 12},
+        "k": 6,
+        "theta_true": [-1.0, -0.6, -0.2, 0.2, 0.6, 1.0],
+        "source": {"powers": [1.0] * 6},
+        "snr_db": [-10],
+        "trials": 4,
+        "estimators": ["dmlo"],
+        "seed": 1,
+    }
+    result = run_monte_carlo(scenario_from_dict(spec))
+    assert len(result.records) == 4
+    for r in result.records:
+        assert not r.failed
+        matched = np.sort(r.theta_hat)
+        assert np.array_equal(r.theta_hat, matched)
+        assert r.sq_err == tuple(float(e) for e in (matched - np.array(r.theta_true)) ** 2)
 
 
 def test_matching_pairs_against_sorted_truth():
@@ -72,10 +97,6 @@ def test_matching_pairs_against_sorted_truth():
 def test_matching_validation():
     with pytest.raises(ValueError):
         match_angles([0.0], [0.0, 1.0])
-    with pytest.raises(ValueError):
-        match_angles([0.0], [0.0], method="hungarian")
-    with pytest.raises(ValueError):
-        match_angles(np.zeros(6), np.zeros(6), method="exhaustive")
 
 
 # -- aggregation ------------------------------------------------------------
@@ -150,6 +171,13 @@ def test_benchmark_scenario_source_models():
     np.testing.assert_allclose(sorted(ev), [0.0004642, 0.06604, 2.337], rtol=1e-10)
     small = benchmark_scenario(trials=3, snr_db=(10.0, 20.0))
     assert small.trials == 3 and small.snr_db == (10.0, 20.0)
+
+
+def test_bundled_overrides_take_what_the_config_takes():
+    cfg = benchmark_scenario(snr_db=20.0, trials=2.0, estimators=["sml"])
+    assert cfg.snr_db == (20.0,) and cfg.trials == 2 and cfg.estimators == ("sml",)
+    with pytest.raises(ValueError, match="unknown config keys"):
+        benchmark_scenario(snr=20.0)
 
 
 def test_config_validation():

@@ -349,12 +349,9 @@ def test_costs_form_no_derivative_factor(monkeypatch):
         cost_sml(ws)
 
 
-def test_each_cost_is_made_once_per_workspace(monkeypatch):
-    """A workspace keeps each cost it has made: a second call does no
-    linear algebra, and gives the same value, for one point and for a
-    stack of lanes."""
-    import apndoa.workspace
-
+def test_a_cost_made_again_has_the_same_bits():
+    """A workspace keeps no cost: a second call makes it again, with the
+    bits of the first, for one point and for a stack of lanes."""
     g, th, lam, z = make_instance(0)
     rz = sample_covariance(z)
     one = build_workspace(rz, steering_set(g, th), lam)
@@ -364,13 +361,6 @@ def test_each_cost_is_made_once_per_workspace(monkeypatch):
     )
     costs = (cost_dml, cost_lc, cost_sml)
     first = [cost(ws) for ws in (one, stack) for cost in costs] + [cost_dml_uniform(ones)]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a kept cost was made again")
-
-    monkeypatch.setattr(np, "vdot", refuse)
-    monkeypatch.setattr(np, "log", refuse)
-    monkeypatch.setattr(apndoa.workspace, "cholesky", refuse)
     again = [cost(ws) for ws in (one, stack) for cost in costs] + [cost_dml_uniform(ones)]
     assert [np.asarray(v).tobytes() for v in again] == [np.asarray(v).tobytes() for v in first]
 
