@@ -41,29 +41,58 @@ def tiny_config(**overrides):
 
 # -- angle matching ---------------------------------------------------------
 
-def test_sorted_matching_is_the_least_squared_error_pairing():
-    # against the minimum over all K! pairings, searched here, for K = 1..7;
-    # in the crossing case pairing each angle with its nearest estimate
-    # first gives 2.12 instead of 0.52
+def _exhaustive_pairing(t, h):
+    """The estimates reordered to the least-squared-error pairing against
+    sorted ``t``, searched over all K! assignments."""
+    t_sorted = np.sort(t)
+    perms = np.array(list(itertools.permutations(range(len(h)))))
+    candidates = np.asarray(h, dtype=float)[perms]
+    return candidates[np.argmin(((candidates - t_sorted) ** 2).sum(axis=1))]
+
+
+def _greedy_pairing(t, h):
+    """The estimates reordered by pairing the closest remaining true angle
+    and estimate first, against sorted ``t``."""
+    t_sorted = np.sort(t)
+    h = np.asarray(h, dtype=float)
+    rem_t, rem_h = list(range(len(h))), list(range(len(h)))
+    pick = {}
+    while rem_t:
+        _, i, j = min((abs(t_sorted[i] - h[j]), i, j) for i in rem_t for j in rem_h)
+        pick[i] = j
+        rem_t.remove(i)
+        rem_h.remove(j)
+    return h[[pick[i] for i in range(len(h))]]
+
+
+def test_exhaustive_matching_beats_greedy_on_the_crossing_case():
+    t = [0.0, 1.0]
+    h = [0.4, -0.4]
+    matched, sq = match_angles(t, h)
+    greedy = _greedy_pairing(t, h)
+    assert np.array_equal(matched, _exhaustive_pairing(t, h))
+    assert np.array_equal(matched, [-0.4, 0.4])
+    assert np.array_equal(greedy, [0.4, -0.4])
+    assert sq.sum() == pytest.approx(0.52)
+    assert ((greedy - np.sort(t)) ** 2).sum() == pytest.approx(2.12)
+
+
+def test_exhaustive_never_loses_to_greedy():
+    # match_angles is the searched minimum over all K! pairings, for
+    # K = 1..7, and never worse than the nearest-first pairing
     rng = np.random.default_rng(0)
-    cases = [([0.0, 1.0], [0.4, -0.4])]
     for k in range(1, 8):
         for _ in range(30):
             t = rng.uniform(-1.5, 1.5, k)
             h = t + rng.normal(0, 0.5, k)
             rng.shuffle(h)
-            cases.append((t, h))
-    for t, h in cases:
-        t_sorted = np.sort(t)
-        perms = np.array(list(itertools.permutations(range(len(h)))))
-        candidates = np.asarray(h)[perms]
-        best = candidates[np.argmin(((candidates - t_sorted) ** 2).sum(axis=1))]
-        matched, sq = match_angles(t, h)
-        assert np.array_equal(matched, best)
-        assert np.array_equal(sq, (best - t_sorted) ** 2)
-    matched, sq = match_angles([0.0, 1.0], [0.4, -0.4])
-    assert np.array_equal(matched, [-0.4, 0.4])
-    assert sq.sum() == pytest.approx(0.52)
+            t_sorted = np.sort(t)
+            best = _exhaustive_pairing(t, h)
+            matched, sq = match_angles(t, h)
+            assert np.array_equal(matched, best)
+            assert np.array_equal(sq, (best - t_sorted) ** 2)
+            greedy_sq = ((_greedy_pairing(t, h) - t_sorted) ** 2).sum()
+            assert sq.sum() <= greedy_sq + 1e-12
 
 
 def test_records_pair_six_sources_at_the_least_squared_error():
